@@ -2,8 +2,8 @@
 //! codec, SLC's size-only fast path (the hardware's tree adder), the
 //! evaluation layer's shared-analysis burst-map sweep vs the per-scheme
 //! re-encode it replaced, and the batch engine's end-to-end GB/s rows
-//! ([`slc_bench::bench_engine_e2e`], shared with the `eval_pipeline`
-//! bench).
+//! ([`slc_bench::bench_engine_e2e`]; this is the one bench that measures
+//! and gates them).
 //!
 //! The sample set mixes the block archetypes GPU traffic exhibits — zero
 //! blocks, repeated values, integer ramps, small integers, smooth float
@@ -26,7 +26,7 @@ use slc_compress::rans::Rans;
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_sim::dram::Channel;
-use slc_sim::{FaultConfig, FaultMap, FaultPattern, GpuConfig, GpuMemory, SchedPolicy};
+use slc_sim::{FaultConfig, FaultMap, FaultPattern, GpuConfig, GpuMemory};
 use slc_workloads::analysis::SnapshotAnalysis;
 use slc_workloads::scheme::{BurstsAccumulator, Scheme};
 
@@ -232,7 +232,7 @@ fn bench_eval_paths(c: &mut Criterion) {
 /// the code every L2 miss of every timing pass runs through;
 /// `sim/channel_frfcfs` guards the scheduler's arbitration cost.
 fn bench_sim_paths(c: &mut Criterion) {
-    let cfg = GpuConfig::default().with_sched_policy(SchedPolicy::FrFcfs);
+    let cfg = GpuConfig::default();
     let ops: Vec<(u64, u32, f64, bool)> = (0..64u64)
         .map(|i| {
             let block = if i % 8 == 7 { 2048 + i } else { i * 2 };

@@ -1,10 +1,9 @@
 //! Benchmark-only crate.
 //!
 //! Hosts the Criterion benches that regenerate every table and figure of
-//! the paper (see `benches/`). The library re-exports the pieces the
-//! benches share: the batch-engine end-to-end rows (measured by both
-//! `codec_throughput` and `eval_pipeline`) and the JSON baseline writer
-//! every custom bench `main` funnels through.
+//! the paper (see `benches/`). The library holds the batch-engine
+//! end-to-end rows (measured and gated once, by `codec_throughput`) and
+//! the JSON baseline writer every custom bench `main` funnels through.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +11,7 @@ use criterion::Criterion;
 use slc_compress::bdi::Bdi;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::rans::Rans;
-use slc_engine::{Engine, Threads};
+use slc_engine::Engine;
 use std::sync::Arc;
 
 pub use slc_exp as exp;
@@ -44,8 +43,8 @@ pub fn engine_corpus(len: usize) -> Vec<u8> {
 }
 
 /// End-to-end batch-engine throughput: compress/decompress a 4 MiB
-/// stream into/from the framed container, parallel (`Threads::Auto`) and
-/// serial, on the BDI substrate (the fastest codec, so the rows guard
+/// stream into/from the framed container, parallel (the engine's default
+/// worker count) and serial (`with_workers(1)`), on the BDI substrate (the fastest codec, so the rows guard
 /// the engine's own sharding/framing overhead rather than codec inner
 /// loops — those have their own `compress_block`/`decompress_block`
 /// rows). A fixed corpus size makes ns/iter read directly as GB/s
@@ -53,6 +52,7 @@ pub fn engine_corpus(len: usize) -> Vec<u8> {
 pub fn bench_engine_e2e(c: &mut Criterion) {
     let data = engine_corpus(ENGINE_CORPUS_BYTES);
     let engine = Engine::new(Arc::new(Bdi::new()));
+    let serial = engine.clone().with_workers(1);
     let container = engine.compress(&data);
     assert_eq!(
         engine.decompress(&container).expect("bench container roundtrips"),
@@ -60,17 +60,13 @@ pub fn bench_engine_e2e(c: &mut Criterion) {
         "engine must roundtrip before being timed"
     );
     let mut g = c.benchmark_group("engine");
-    g.bench_function("compress_e2e", |b| {
-        b.iter(|| engine.compress_threads(&data, Threads::Auto).len())
-    });
-    g.bench_function("compress_e2e_serial", |b| {
-        b.iter(|| engine.compress_threads(&data, Threads::Serial).len())
-    });
+    g.bench_function("compress_e2e", |b| b.iter(|| engine.compress(&data).len()));
+    g.bench_function("compress_e2e_serial", |b| b.iter(|| serial.compress(&data).len()));
     g.bench_function("decompress_e2e", |b| {
-        b.iter(|| engine.decompress_threads(&container, Threads::Auto).expect("valid").len())
+        b.iter(|| engine.decompress(&container).expect("valid").len())
     });
     g.bench_function("decompress_e2e_serial", |b| {
-        b.iter(|| engine.decompress_threads(&container, Threads::Serial).expect("valid").len())
+        b.iter(|| serial.decompress(&container).expect("valid").len())
     });
 
     // The rANS substrate on the same corpus: whole-chunk entropy coding
@@ -83,13 +79,9 @@ pub fn bench_engine_e2e(c: &mut Criterion) {
         data,
         "rANS engine must roundtrip before being timed"
     );
-    g.bench_function("rans_compress_e2e", |b| {
-        b.iter(|| rans_engine.compress_threads(&data, Threads::Auto).len())
-    });
+    g.bench_function("rans_compress_e2e", |b| b.iter(|| rans_engine.compress(&data).len()));
     g.bench_function("rans_decompress_e2e", |b| {
-        b.iter(|| {
-            rans_engine.decompress_threads(&rans_container, Threads::Auto).expect("valid").len()
-        })
+        b.iter(|| rans_engine.decompress(&rans_container).expect("valid").len())
     });
     g.finish();
 

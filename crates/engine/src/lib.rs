@@ -2,9 +2,9 @@
 //!
 //! Every codec in `slc-compress` works one 128 B block at a time — the
 //! granularity GPU memory-compression hardware sees. This crate is the
-//! batch front end above them: an [`Engine`] takes an arbitrary byte (or
-//! `f32`) stream, shards it into fixed-size chunks, compresses the
-//! chunks in parallel via `slc-par`, and emits the self-describing
+//! batch front end above them: an [`Engine`] takes an arbitrary byte
+//! stream, shards it into fixed-size chunks, compresses the chunks in
+//! parallel via `slc-par`, and emits the self-describing
 //! framed container of [`container`] (magic + version + codec id +
 //! chunk geometry + a per-chunk `(offset, encoded_bits, storage_mode)`
 //! directory). Decode is the mirror image: parse + validate the frame
@@ -43,7 +43,10 @@
 //!
 //! # Determinism and safety contracts
 //!
-//! * Parallel and serial compress produce **byte-identical** containers
+//! * The worker count is engine configuration
+//!   ([`Engine::with_workers`]; by default `slc-par`'s hardware count,
+//!   capped by `SLC_PAR_THREADS`). Parallel and serial compress produce
+//!   **byte-identical** containers
 //!   (`slc-par` is order-preserving and chunks are independent), and
 //!   parallel decode is byte-identical to serial decode — both pinned by
 //!   property tests across every codec.
@@ -73,18 +76,6 @@ use std::sync::Arc;
 /// Tag bit marking a block stored in coded (compressed) form.
 const TAG_CODED: u16 = 1 << 15;
 
-/// How a batch call fans out across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Threads {
-    /// `slc-par`'s default: hardware parallelism, `SLC_PAR_THREADS`-capped.
-    Auto,
-    /// One thread, no pool.
-    Serial,
-    /// Exactly this many workers (still clamped to the chunk count) —
-    /// how tests exercise the threaded path on single-core hosts.
-    Exact(usize),
-}
-
 /// A batch compression/decompression engine bound to one block codec.
 ///
 /// Cloning an `Engine` clones the `Arc`, not the codec (for trained
@@ -94,6 +85,8 @@ pub struct Engine {
     codec: Arc<dyn BlockCodec>,
     id: CodecId,
     chunk_bytes: usize,
+    /// Explicit worker count; `None` defers to `slc-par`'s default.
+    workers: Option<usize>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -101,6 +94,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("codec", &self.id.name())
             .field("chunk_bytes", &self.chunk_bytes)
+            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -121,7 +115,7 @@ impl Engine {
         let id = CodecId::from_name(codec.name()).unwrap_or_else(|| {
             panic!("codec {:?} has no container CodecId; register it first", codec.name())
         });
-        Self { codec, id, chunk_bytes: Self::DEFAULT_CHUNK_BYTES }
+        Self { codec, id, chunk_bytes: Self::DEFAULT_CHUNK_BYTES, workers: None }
     }
 
     /// Overrides the chunk size.
@@ -143,6 +137,16 @@ impl Engine {
         self
     }
 
+    /// Pins the number of workers compress and decode fan out over
+    /// (clamped to the chunk count; `1` runs serially on the calling
+    /// thread). Without it the engine uses `slc-par`'s default: the
+    /// hardware count, capped by `SLC_PAR_THREADS`. Output bytes are
+    /// identical whatever the count.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers);
+        self
+    }
+
     /// The wire identity of the engine's codec.
     pub fn codec_id(&self) -> CodecId {
         self.id
@@ -153,15 +157,9 @@ impl Engine {
         self.chunk_bytes
     }
 
-    /// Compresses `bytes` into a framed container ([`Threads::Auto`]).
+    /// Compresses `bytes` into a framed container.
     pub fn compress(&self, bytes: &[u8]) -> Vec<u8> {
-        self.compress_threads(bytes, Threads::Auto)
-    }
-
-    /// [`compress`](Self::compress) with an explicit thread policy.
-    /// Output bytes are identical whatever the policy.
-    pub fn compress_threads(&self, bytes: &[u8], threads: Threads) -> Vec<u8> {
-        self.compress_impl(bytes, None, threads)
+        self.compress_impl(bytes, None)
     }
 
     /// Compresses a block-aligned stream whose per-block stored sizes are
@@ -186,81 +184,71 @@ impl Engine {
     ///
     /// Panics when `bytes` is not block-aligned or `stored_bits` has a
     /// different block count.
-    pub fn compress_with_sizes(
-        &self,
-        bytes: &[u8],
-        stored_bits: &[u32],
-        threads: Threads,
-    ) -> Vec<u8> {
+    pub fn compress_with_sizes(&self, bytes: &[u8], stored_bits: &[u32]) -> Vec<u8> {
         assert_eq!(bytes.len() % BLOCK_BYTES, 0, "sized compression needs block-aligned input");
         assert_eq!(
             stored_bits.len(),
             bytes.len() / BLOCK_BYTES,
             "one stored size per block required"
         );
-        self.compress_impl(bytes, Some(stored_bits), threads)
+        self.compress_impl(bytes, Some(stored_bits))
     }
 
-    fn compress_impl(&self, bytes: &[u8], hints: Option<&[u32]>, threads: Threads) -> Vec<u8> {
+    fn compress_impl(&self, bytes: &[u8], hints: Option<&[u32]>) -> Vec<u8> {
         let blocks_per_chunk = self.chunk_bytes / BLOCK_BYTES;
         let codec = &*self.codec;
         let chunks: Vec<(usize, &[u8])> = bytes.chunks(self.chunk_bytes).enumerate().collect();
-        let encoded: Vec<(Vec<u8>, StorageMode)> = map_threads(chunks, threads, |(ci, chunk)| {
+        let encoded: Vec<(Vec<u8>, StorageMode)> = self.map(chunks, |(ci, chunk)| {
             let chunk_hints = hints.map(|h| {
                 let lo = ci * blocks_per_chunk;
                 &h[lo..lo + chunk.len().div_ceil(BLOCK_BYTES)]
             });
             encode_chunk(codec, chunk, chunk_hints)
         });
-        let mut dir_bytes = Vec::with_capacity(encoded.len() * DIR_ENTRY_BYTES);
-        let mut payload_len = 0u64;
-        let mut header = Vec::with_capacity(HEADER_BYTES);
-        // A raw chunk's buffer comes back empty (see `encode_chunk`): its
-        // stored bytes are the chunk's own slice of the input.
-        for ((data, mode), chunk) in encoded.iter().zip(bytes.chunks(self.chunk_bytes)) {
-            let stored: &[u8] = if *mode == StorageMode::Raw { chunk } else { data };
-            let entry = DirEntry {
-                offset: payload_len,
-                encoded_bits: (stored.len() * 8) as u32,
-                mode: *mode,
-            };
-            entry.write_to(&mut dir_bytes);
-            payload_len += stored.len() as u64;
-        }
+        let mut dir = Vec::with_capacity(encoded.len());
+        let spans: Vec<&[u8]> = encoded
+            .iter()
+            .zip(bytes.chunks(self.chunk_bytes))
+            .map(|((data, mode), chunk)| push_entry(&mut dir, data, *mode, chunk))
+            .collect();
+        self.assemble(bytes.len() as u64, &dir, spans)
+    }
+
+    /// Serialises a container: the header, then `dir`, then the payload
+    /// `spans` (the chunks' stored bytes, in directory order, in as many
+    /// pieces as the caller holds them).
+    fn assemble<'a>(
+        &self,
+        total_len: u64,
+        dir: &[DirEntry],
+        spans: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Vec<u8> {
+        let payload_len = dir.last().map_or(0, |e| e.offset + e.encoded_bytes()) as usize;
+        let mut out = Vec::with_capacity(HEADER_BYTES + dir.len() * DIR_ENTRY_BYTES + payload_len);
         Header {
             codec: self.id,
             chunk_bytes: self.chunk_bytes as u32,
-            chunk_count: encoded.len() as u32,
-            total_len: bytes.len() as u64,
+            chunk_count: dir.len() as u32,
+            total_len,
         }
-        .write_to(&mut header);
-        let mut out = Vec::with_capacity(HEADER_BYTES + dir_bytes.len() + payload_len as usize);
-        out.extend_from_slice(&header);
-        out.extend_from_slice(&dir_bytes);
-        for ((data, mode), chunk) in encoded.iter().zip(bytes.chunks(self.chunk_bytes)) {
-            out.extend_from_slice(if *mode == StorageMode::Raw { chunk } else { data });
+        .write_to(&mut out);
+        for entry in dir {
+            entry.write_to(&mut out);
+        }
+        for span in spans {
+            out.extend_from_slice(span);
         }
         out
     }
 
-    /// Decompresses a framed container ([`Threads::Auto`]).
+    /// Decompresses a framed container.
     ///
     /// Never panics on arbitrary input — see the crate docs.
     // slc-lint: allow(hot-path): cold per-container orchestrator (output buffer + worker scaffolding allocate once per call, not per block); shares its name with the per-block BlockCompressor::decompress the call graph fans out to
     pub fn decompress(&self, container: &[u8]) -> Result<Vec<u8>, ContainerError> {
-        self.decompress_threads(container, Threads::Auto)
-    }
-
-    /// [`decompress`](Self::decompress) with an explicit thread policy.
-    /// Output bytes are identical whatever the policy.
-    pub fn decompress_threads(
-        &self,
-        container: &[u8],
-        threads: Threads,
-    ) -> Result<Vec<u8>, ContainerError> {
         let frame = self.parse_own(container)?;
         let mut out = vec![0u8; frame.header.total_len as usize];
-        self.decode_frame(&frame, &mut out, threads)?;
+        self.decode_frame(&frame, &mut out)?;
         Ok(out)
     }
 
@@ -282,17 +270,6 @@ impl Engine {
     /// [`decompress`](Self::decompress) would return.
     // slc-lint: allow(hot-path): cold per-container orchestrator (worker scaffolding allocates once per call, not per block); shares its name with the per-block BlockCompressor::decompress_into the call graph fans out to
     pub fn decompress_into(&self, container: &[u8], out: &mut [u8]) -> Result<(), ContainerError> {
-        self.decompress_into_threads(container, out, Threads::Auto)
-    }
-
-    /// [`decompress_into`](Self::decompress_into) with an explicit
-    /// thread policy. Output bytes are identical whatever the policy.
-    pub fn decompress_into_threads(
-        &self,
-        container: &[u8],
-        out: &mut [u8],
-        threads: Threads,
-    ) -> Result<(), ContainerError> {
         let frame = self.parse_own(container)?;
         if out.len() as u64 != frame.header.total_len {
             return Err(ContainerError::OutputLenMismatch {
@@ -300,7 +277,7 @@ impl Engine {
                 out_len: out.len(),
             });
         }
-        self.decode_frame(&frame, out, threads)
+        self.decode_frame(&frame, out)
     }
 
     /// Parses `container` and checks its header names this engine's
@@ -318,12 +295,7 @@ impl Engine {
 
     /// Decodes a validated frame's chunks into `out`, whose length both
     /// callers have already pinned to the header's `total_len`.
-    fn decode_frame(
-        &self,
-        frame: &Frame<'_>,
-        out: &mut [u8],
-        threads: Threads,
-    ) -> Result<(), ContainerError> {
+    fn decode_frame(&self, frame: &Frame<'_>, out: &mut [u8]) -> Result<(), ContainerError> {
         let chunk_bytes = frame.header.chunk_bytes as usize;
         let payload = frame.payload;
         let codec = &*self.codec;
@@ -335,13 +307,19 @@ impl Engine {
             .enumerate()
             .map(|(i, (dst, &entry))| (i, entry, dst))
             .collect();
-        let results = map_threads(work, threads, |(i, entry, dst)| {
-            decode_chunk(codec, payload, entry, dst, i)
-        });
+        let results = self.map(work, |(i, entry, dst)| decode_chunk(codec, payload, entry, dst, i));
         for r in results {
             r?;
         }
         Ok(())
+    }
+
+    /// Maps `f` over `items` on the configured workers, in order.
+    fn map<T: Send, U: Send>(&self, items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+        match self.workers {
+            None => slc_par::par_map(items, f),
+            Some(workers) => slc_par::par_map_workers(items, f, workers),
+        }
     }
 
     /// Starts a streaming encode: feed bytes in arbitrary-sized pieces
@@ -359,33 +337,6 @@ impl Engine {
             payload: Vec::new(),
             total_len: 0,
         }
-    }
-
-    /// [`compress`](Self::compress) over an `f32` stream (little-endian
-    /// byte view — the layout `GpuMemory` stores).
-    pub fn compress_f32(&self, values: &[f32]) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.compress(&bytes)
-    }
-
-    /// [`decompress`](Self::decompress) back into an `f32` stream; errors
-    /// with [`ContainerError::ElementMisaligned`] when the decoded length
-    /// is not a multiple of 4.
-    pub fn decompress_f32(&self, container: &[u8]) -> Result<Vec<f32>, ContainerError> {
-        let bytes = self.decompress(container)?;
-        if bytes.len() % 4 != 0 {
-            return Err(ContainerError::ElementMisaligned {
-                total_len: bytes.len() as u64,
-                element_bytes: 4,
-            });
-        }
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
     }
 }
 
@@ -441,21 +392,7 @@ impl StreamEncoder {
             let chunk = std::mem::take(&mut self.pending);
             self.encode_one(&chunk);
         }
-        let mut out = Vec::with_capacity(
-            HEADER_BYTES + self.dir.len() * DIR_ENTRY_BYTES + self.payload.len(),
-        );
-        Header {
-            codec: self.engine.id,
-            chunk_bytes: self.engine.chunk_bytes as u32,
-            chunk_count: self.dir.len() as u32,
-            total_len: self.total_len,
-        }
-        .write_to(&mut out);
-        for entry in &self.dir {
-            entry.write_to(&mut out);
-        }
-        out.extend_from_slice(&self.payload);
-        out
+        self.engine.assemble(self.total_len, &self.dir, [self.payload.as_slice()])
     }
 
     /// Bytes accepted so far.
@@ -465,14 +402,7 @@ impl StreamEncoder {
 
     fn encode_one(&mut self, chunk: &[u8]) {
         let (data, mode) = encode_chunk(&*self.engine.codec, chunk, None);
-        // A raw chunk's buffer comes back empty (see `encode_chunk`): its
-        // stored bytes are the caller's chunk itself.
-        let stored: &[u8] = if mode == StorageMode::Raw { chunk } else { &data };
-        self.dir.push(DirEntry {
-            offset: self.payload.len() as u64,
-            encoded_bits: (stored.len() * 8) as u32,
-            mode,
-        });
+        let stored = push_entry(&mut self.dir, &data, mode, chunk);
         self.payload.extend_from_slice(stored);
     }
 }
@@ -525,25 +455,29 @@ pub fn frame_info(container: &[u8]) -> Result<FrameInfo, ContainerError> {
     })
 }
 
-fn map_threads<T: Send, U: Send>(
-    items: Vec<T>,
-    threads: Threads,
-    f: impl Fn(T) -> U + Sync,
-) -> Vec<U> {
-    match threads {
-        Threads::Serial => items.into_iter().map(f).collect(),
-        Threads::Auto => slc_par::par_map(items, f),
-        Threads::Exact(workers) => slc_par::par_map_workers(items, f, workers),
-    }
+/// Appends the directory entry of the next chunk, placed right after the
+/// previous entry's span, and returns the chunk's stored bytes. A raw
+/// chunk's buffer comes back empty from [`encode_chunk`]: its stored
+/// bytes are the chunk's own input slice.
+fn push_entry<'a>(
+    dir: &mut Vec<DirEntry>,
+    coded: &'a [u8],
+    mode: StorageMode,
+    chunk: &'a [u8],
+) -> &'a [u8] {
+    let stored = if mode == StorageMode::Raw { chunk } else { coded };
+    let offset = dir.last().map_or(0, |e| e.offset + e.encoded_bytes());
+    dir.push(DirEntry { offset, encoded_bits: (stored.len() * 8) as u32, mode });
+    stored
 }
 
 /// Encodes one chunk, with a raw fallback when the coded stream does not
 /// beat the chunk's verbatim bytes.
 ///
 /// A raw decision returns an **empty** buffer: the chunk's verbatim
-/// bytes already live in the caller's input, so the assembly stage
-/// ([`Engine::compress_impl`], [`StreamEncoder::encode_one`]) copies
-/// them from there instead of through a second per-chunk allocation.
+/// bytes already live in the caller's input, so [`push_entry`] hands
+/// that slice to the assembly stage instead of a second per-chunk
+/// allocation.
 ///
 /// Codecs with a whole-chunk mode ([`ChunkCoder`]) encode the chunk as
 /// one stream (size hints do not apply — the stream is not block-framed);
@@ -816,7 +750,7 @@ mod tests {
         assert!(sizes.iter().any(|&s| s >= BLOCK_BITS), "need at least one verbatim block");
         let engine = Engine::new(Arc::new(e2mc)).with_chunk_bytes(512);
         let plain = engine.compress(&data);
-        let sized = engine.compress_with_sizes(&data, &sizes, Threads::Serial);
+        let sized = engine.clone().with_workers(1).compress_with_sizes(&data, &sizes);
         assert_eq!(plain, sized, "truthful sizes must not change a single byte");
         assert_eq!(engine.decompress(&sized).unwrap(), data);
     }
@@ -856,24 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_roundtrip() {
-        let e = bdi_engine(256);
-        let values: Vec<f32> = (0..300).map(|i| i as f32 * 0.5).collect();
-        let c = e.compress_f32(&values);
-        assert_eq!(e.decompress_f32(&c).unwrap(), values);
-    }
-
-    #[test]
-    fn f32_rejects_misaligned_streams() {
-        let e = bdi_engine(256);
-        let c = e.compress(&[1u8, 2, 3]);
-        assert_eq!(
-            e.decompress_f32(&c),
-            Err(ContainerError::ElementMisaligned { total_len: 3, element_bytes: 4 })
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of 128")]
     fn chunk_size_must_be_block_aligned() {
         let _ = bdi_engine(100);
@@ -883,6 +799,6 @@ mod tests {
     #[should_panic(expected = "one stored size per block")]
     fn sized_path_checks_block_count() {
         let e = bdi_engine(256);
-        let _ = e.compress_with_sizes(&[0u8; 256], &[0u32; 3], Threads::Serial);
+        let _ = e.compress_with_sizes(&[0u8; 256], &[0u32; 3]);
     }
 }

@@ -19,7 +19,7 @@ use slc_compress::hycomp::HyComp;
 use slc_compress::rans::Rans;
 use slc_compress::sc2::Sc2;
 use slc_compress::{BlockCodec, ChunkCoder, Compressed, BLOCK_BITS, BLOCK_BYTES};
-use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode, Threads};
+use slc_engine::{ContainerError, DirEntry, Engine, Header, StorageMode};
 use std::sync::{Arc, OnceLock};
 
 /// All seven codecs, trained once for the whole test binary (training
@@ -110,16 +110,17 @@ fn check_roundtrip(bytes: &[u8], chunk_blocks: usize) {
     for codec in codecs() {
         let name = codec.name();
         let engine = Engine::new(Arc::clone(codec)).with_chunk_bytes(chunk_bytes);
-        let serial = engine.compress_threads(bytes, Threads::Serial);
-        let parallel = engine.compress_threads(bytes, Threads::Exact(3));
+        let (one, three) = (engine.clone().with_workers(1), engine.clone().with_workers(3));
+        let serial = one.compress(bytes);
+        let parallel = three.compress(bytes);
         assert_eq!(serial, parallel, "{name}: parallel compress must be byte-identical");
         let reference = reference_container(codec.as_ref(), bytes, chunk_bytes);
         assert_eq!(
             serial, reference,
             "{name}: engine container must equal the sequential per-block reference"
         );
-        let d_serial = engine.decompress_threads(&serial, Threads::Serial).unwrap();
-        let d_parallel = engine.decompress_threads(&serial, Threads::Exact(3)).unwrap();
+        let d_serial = one.decompress(&serial).unwrap();
+        let d_parallel = three.decompress(&serial).unwrap();
         assert_eq!(d_serial, d_parallel, "{name}: parallel decode must equal serial");
         assert_eq!(d_serial, bytes, "{name}: roundtrip must reproduce the stream");
         // Borrowed decode into a deliberately dirty buffer must overwrite
@@ -158,17 +159,14 @@ fn exact_worker_counts_agree_everywhere() {
     // than chunks) against the serial reference.
     let engine = Engine::new(Arc::new(Fpc::new())).with_chunk_bytes(128);
     let data = stream(1500, 11, 4);
-    let serial = engine.compress_threads(&data, Threads::Serial);
+    let serial = engine.clone().with_workers(1).compress(&data);
     for workers in [1usize, 2, 3, 8, 64] {
-        assert_eq!(engine.compress_threads(&data, Threads::Exact(workers)), serial);
-        assert_eq!(
-            engine.decompress_threads(&serial, Threads::Exact(workers)).unwrap(),
-            data,
-            "{workers} workers"
-        );
+        let pinned = engine.clone().with_workers(workers);
+        assert_eq!(pinned.compress(&data), serial);
+        assert_eq!(pinned.decompress(&serial).unwrap(), data, "{workers} workers");
     }
-    assert_eq!(engine.compress_threads(&data, Threads::Auto), serial);
-    assert_eq!(engine.decompress_threads(&serial, Threads::Auto).unwrap(), data);
+    assert_eq!(engine.compress(&data), serial);
+    assert_eq!(engine.decompress(&serial).unwrap(), data);
 }
 
 #[test]
@@ -248,8 +246,8 @@ fn rans_engine_equals_chunk_level_reference() {
         let chunk_bytes = chunk_blocks * BLOCK_BYTES;
         let engine =
             Engine::new(Arc::clone(&rans) as Arc<dyn BlockCodec>).with_chunk_bytes(chunk_bytes);
-        let serial = engine.compress_threads(&data, Threads::Serial);
-        let parallel = engine.compress_threads(&data, Threads::Exact(3));
+        let serial = engine.clone().with_workers(1).compress(&data);
+        let parallel = engine.clone().with_workers(3).compress(&data);
         assert_eq!(serial, parallel, "rans: parallel compress must be byte-identical");
         let reference =
             reference_container_chunked(rans.as_ref(), rans.as_ref(), &data, chunk_bytes);

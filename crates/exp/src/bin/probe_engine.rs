@@ -18,7 +18,7 @@
 //! hints, and this is where that contract is exercised end to end.
 //!
 //! After the per-workload sweep the probe re-runs the largest snapshot
-//! under `Threads::Exact(n)` for n = 1, 2, 4, 8, printing per-worker-
+//! with `Engine::with_workers(n)` for n = 1, 2, 4, 8, printing per-worker-
 //! count GB/s (and asserting the containers stay byte-identical), so a
 //! scheduling regression shows up as a flat or inverted scaling column
 //! rather than a silent slowdown.
@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use slc_compress::rans::Rans;
 use slc_compress::{bdi::Bdi, BlockCodec};
-use slc_engine::{frame_info, Engine, Threads};
+use slc_engine::{frame_info, Engine};
 use slc_workloads::{all_workloads, compress_snapshot, snapshot_bytes, snapshot_engine};
 use slc_workloads::{Harness, Scale, SnapshotAnalysis};
 
@@ -86,13 +86,13 @@ fn main() {
         let snapshot = SnapshotAnalysis::capture(&a.e2mc, &a.exact_memory);
 
         let t = Instant::now();
-        let container = engine.compress_threads(&bytes, Threads::Auto);
+        let container = engine.compress(&bytes);
         let comp_s = t.elapsed().as_secs_f64();
 
         // The cached-size fast path must reproduce the container exactly:
         // per-block codecs because the hints equal their own size_bits,
         // chunk coders (rANS) because they ignore the hints entirely.
-        let cached = compress_snapshot(&engine, &a.e2mc, &bytes, &snapshot, Threads::Auto);
+        let cached = compress_snapshot(&engine, &a.e2mc, &bytes, &snapshot);
         assert_eq!(
             container, cached,
             "{}: cached-size container differs from the from-scratch one",
@@ -100,12 +100,13 @@ fn main() {
         );
 
         let t = Instant::now();
-        let parallel = engine
-            .decompress_threads(&container, Threads::Auto)
-            .expect("engine-produced container must decode");
+        let parallel =
+            engine.decompress(&container).expect("engine-produced container must decode");
         let decomp_s = t.elapsed().as_secs_f64();
         let serial = engine
-            .decompress_threads(&container, Threads::Serial)
+            .clone()
+            .with_workers(1)
+            .decompress(&container)
             .expect("engine-produced container must decode serially");
         assert_eq!(parallel, serial, "{}: parallel decode diverged from serial", a.name);
         assert_eq!(parallel, bytes, "{}: roundtrip is not byte-identical", a.name);
@@ -126,22 +127,23 @@ fn main() {
     }
 
     // Worker-count scaling on the largest snapshot: output bytes are
-    // policy-independent (asserted), only the wall clock may move.
+    // worker-count-independent (asserted), only the wall clock may move.
     let (bytes, engine) = largest.expect("at least one workload at every scale");
-    let reference = engine.compress_threads(&bytes, Threads::Serial);
+    let reference = engine.clone().with_workers(1).compress(&bytes);
     println!("worker scaling on largest snapshot ({} bytes, codec {codec_name}):", bytes.len());
     println!("{:>8} {:>12} {:>12}", "workers", "comp_GB/s", "decomp_GB/s");
     for n in [1usize, 2, 4, 8] {
+        let engine = engine.clone().with_workers(n);
         let t = Instant::now();
-        let container = engine.compress_threads(&bytes, Threads::Exact(n));
+        let container = engine.compress(&bytes);
         let comp_s = t.elapsed().as_secs_f64();
-        assert_eq!(container, reference, "Exact({n}) container diverged from serial");
+        assert_eq!(container, reference, "{n}-worker container diverged from serial");
         let t = Instant::now();
         let decoded = engine
-            .decompress_threads(&container, Threads::Exact(n))
+            .decompress(&container)
             .expect("engine-produced container must decode at any worker count");
         let decomp_s = t.elapsed().as_secs_f64();
-        assert_eq!(decoded, bytes, "Exact({n}) decode is not byte-identical");
+        assert_eq!(decoded, bytes, "{n}-worker decode is not byte-identical");
         println!(
             "{:>8} {:>12.3} {:>12.3}",
             n,

@@ -14,6 +14,9 @@
 //! knob to "no threads" — or typos it — gets the predictable serial
 //! fallback, never an accidental fan-out across every core.
 //!
+//! A panic in the mapped closure propagates to the caller with its
+//! original payload, on the serial and the threaded path alike.
+//!
 //! ```
 //! let squares = slc_par::par_map(vec![1u64, 2, 3, 4], |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
@@ -58,7 +61,8 @@ fn worker_count(n: usize) -> usize {
 ///
 /// Items are distributed dynamically (an atomic cursor), so uneven work —
 /// one slow benchmark among nine — does not idle the other workers.
-/// Panics in `f` propagate to the caller once all threads have stopped.
+/// A panic in `f` propagates to the caller with its original payload once
+/// all threads have stopped.
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -89,22 +93,32 @@ where
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    let panic = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let item =
+                            slots[i].lock().expect("slot poisoned").take().expect("taken once");
+                        let result = f(item);
+                        *out[i].lock().expect("slot poisoned") = Some(result);
                     }
-                    let item = slots[i].lock().expect("slot poisoned").take().expect("taken once");
-                    let result = f(item);
-                    *out[i].lock().expect("slot poisoned") = Some(result);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        // Join every handle here (the fold never stops early), so the
+        // scope never re-panics with its generic "a scoped thread
+        // panicked" and the first worker's own payload reaches the caller.
+        handles.into_iter().fold(None, |first, h| first.or(h.join().err()))
     });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
     out.into_iter()
         .map(|m| m.into_inner().expect("slot poisoned").expect("every index visited"))
         .collect()
@@ -200,5 +214,23 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panic")]
+    fn panics_propagate_threaded() {
+        // Four workers whatever the host's core count, so the threaded
+        // path's payload propagation is pinned on any machine. Every even
+        // item panics, so more than one worker may die.
+        let _ = par_map_workers(
+            vec![1, 2, 3, 4, 5, 6, 7, 8],
+            |x| {
+                if x % 2 == 0 {
+                    panic!("worker panic");
+                }
+                x
+            },
+            4,
+        );
     }
 }

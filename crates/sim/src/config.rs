@@ -1,6 +1,5 @@
 //! Simulator configuration (paper Table II, GTX580-like).
 
-use crate::dram::sched::SchedPolicy;
 use crate::fault::FaultConfig;
 use slc_compress::Mag;
 
@@ -59,16 +58,13 @@ pub struct GpuConfig {
     pub t_rcd: f64,
     /// Row precharge in memory cycles.
     pub t_rp: f64,
-    /// Channel request-scheduling policy (see [`SchedPolicy`]).
-    pub sched_policy: SchedPolicy,
     /// FR-FCFS write-buffer entries per channel (the high watermark; a
-    /// full buffer drains to half capacity). Ignored under `InOrder`.
+    /// full buffer drains to half capacity).
     pub write_buffer_entries: usize,
     /// FR-FCFS starvation cap in SM cycles: at every channel event (read
     /// or write arrival) a buffered write older than this is serviced
     /// first, ahead of row hits and the arriving request — arbitration
-    /// never reorders past the cap while traffic flows. Ignored under
-    /// `InOrder`.
+    /// never reorders past the cap while traffic flows.
     pub sched_age_cap: u64,
 
     /// Compression latency in SM cycles added on the write path
@@ -118,7 +114,6 @@ impl Default for GpuConfig {
             t_cas: 12.0,
             t_rcd: 12.0,
             t_rp: 12.0,
-            sched_policy: SchedPolicy::FrFcfs,
             write_buffer_entries: 16,
             sched_age_cap: 1000,
             compress_latency: 0,
@@ -205,12 +200,6 @@ impl GpuConfig {
     pub fn with_codec_latency(mut self, compress: u64, decompress: u64) -> Self {
         self.compress_latency = compress;
         self.decompress_latency = decompress;
-        self
-    }
-
-    /// Selects the channel scheduling policy.
-    pub fn with_sched_policy(mut self, policy: SchedPolicy) -> Self {
-        self.sched_policy = policy;
         self
     }
 

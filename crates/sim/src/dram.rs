@@ -9,21 +9,14 @@
 //!
 //! # Scheduling
 //!
-//! The channel arbitrates under a [`sched::SchedPolicy`] chosen by
-//! [`GpuConfig::sched_policy`]:
-//!
-//! * [`InOrder`](sched::SchedPolicy::InOrder) — the legacy model: every
-//!   request (read or write) is serviced immediately at arrival, so a
-//!   write occupies the bus ahead of any younger read. Kept bit-exact so
-//!   refactors can land verified against it before behaviour changes.
-//! * [`FrFcfs`](sched::SchedPolicy::FrFcfs) — reads are serviced at
-//!   arrival with read-over-write priority; writes buffer in a bounded
-//!   per-channel [`sched::WriteQueue`] and drain row-hit-first
-//!   (oldest-first among equals) when the high watermark is reached, when
-//!   the bus is idle at the next arrival (read-idle drain), and fully at
-//!   end of kernel. A starvation cap ([`GpuConfig::sched_age_cap`])
-//!   promotes any write older than the cap over every row hit — and over
-//!   an arriving read — so no request is reordered past its age bound.
+//! The channel arbitrates FR-FCFS: reads are serviced at arrival with
+//! read-over-write priority; writes buffer in a bounded per-channel
+//! [`sched::WriteQueue`] and drain row-hit-first (oldest-first among
+//! equals) when the high watermark is reached, when the bus is idle at the
+//! next arrival (read-idle drain), and fully at end of kernel. A
+//! starvation cap ([`GpuConfig::sched_age_cap`]) promotes any write older
+//! than the cap over every row hit — and over an arriving read — so no
+//! request is reordered past its age bound.
 //!
 //! Row outcomes and queueing delay are counted **here**, at the moment a
 //! request is actually serviced (under FR-FCFS a write's row outcome is
@@ -36,7 +29,7 @@ pub mod sched;
 use crate::config::GpuConfig;
 use crate::mdc::MetadataCache;
 use crate::BlockAddr;
-use sched::{PendingWrite, SchedPolicy, WriteQueue};
+use sched::{PendingWrite, WriteQueue};
 
 /// First block address of the metadata region.
 ///
@@ -125,7 +118,6 @@ pub struct Channel {
     row_hit_cycles: f64,
     row_miss_cycles: f64,
     row_blocks: u64,
-    policy: SchedPolicy,
     writes: WriteQueue,
     write_capacity: usize,
     age_cap: f64,
@@ -136,7 +128,7 @@ impl Channel {
     /// Creates a channel from the GPU configuration.
     pub fn new(cfg: &GpuConfig) -> Self {
         assert!(
-            cfg.sched_policy == SchedPolicy::InOrder || cfg.write_buffer_entries >= 2,
+            cfg.write_buffer_entries >= 2,
             "FR-FCFS write buffer needs room to buffer and drain"
         );
         Self {
@@ -146,7 +138,6 @@ impl Channel {
             row_hit_cycles: cfg.row_hit_sm_cycles(),
             row_miss_cycles: cfg.row_miss_sm_cycles(),
             row_blocks: cfg.row_blocks,
-            policy: cfg.sched_policy,
             writes: WriteQueue::new(),
             write_capacity: cfg.write_buffer_entries,
             age_cap: cfg.sched_age_cap as f64,
@@ -164,8 +155,7 @@ impl Channel {
 
     /// Services one request *now*: the bank opens the row (hit or miss),
     /// the data bus is granted once free, and the channel state advances.
-    /// This is the legacy in-order arithmetic, shared verbatim by both
-    /// policies — FR-FCFS only changes *which* request is serviced next.
+    /// FR-FCFS arbitration only decides *which* request is serviced next.
     fn service(&mut self, local_block: u64, bursts: u32, at: f64) -> DramAccess {
         let (bank_idx, row) = self.locate(local_block);
         let bank = &mut self.banks[bank_idx];
@@ -207,9 +197,10 @@ impl Channel {
         }
     }
 
-    /// Drains buffered writes that must or may go ahead of a read
-    /// arriving at `at`: overage writes first (starvation cap), then
-    /// opportunistic drains while the bus is idle before the arrival.
+    /// Drains buffered writes that must or may go ahead of a request
+    /// arriving at `at`: overage writes first (the starvation cap holds at
+    /// every channel event), then opportunistic drains while the bus is
+    /// idle before the arrival.
     fn drain_before(&mut self, at: f64) {
         while self.writes.oldest_overage(at, self.age_cap) {
             self.service_next_write(at, true);
@@ -225,42 +216,22 @@ impl Channel {
 
     /// Services a read of `bursts` bursts to channel-local block
     /// `local_block`, arriving at time `at` (SM cycles). Reads resolve at
-    /// arrival under both policies; under FR-FCFS they bypass every
-    /// buffered write younger than the age cap.
+    /// arrival and bypass every buffered write younger than the age cap.
     pub fn read(&mut self, local_block: u64, bursts: u32, at: f64) -> DramAccess {
-        if self.policy == SchedPolicy::FrFcfs {
-            self.drain_before(at);
-        }
+        self.drain_before(at);
         self.service(local_block, bursts, at)
     }
 
-    /// Accepts a write of `bursts` bursts to `local_block` at time `at`.
-    ///
-    /// Under `InOrder` the write is serviced immediately (legacy
-    /// behaviour) and its outcome returned; under `FrFcfs` it buffers in
-    /// the write queue — draining to half capacity first when the queue
-    /// is at its high watermark — and `None` is returned (row outcome and
-    /// bus occupancy materialise at drain time).
-    pub fn write(&mut self, local_block: u64, bursts: u32, at: f64) -> Option<DramAccess> {
-        match self.policy {
-            SchedPolicy::InOrder => Some(self.service(local_block, bursts, at)),
-            SchedPolicy::FrFcfs => {
-                // The starvation cap is enforced at *every* channel event,
-                // not just read arrivals: overage writes leave first.
-                while self.writes.oldest_overage(at, self.age_cap) {
-                    self.service_next_write(at, true);
-                }
-                while self.free_at < at && !self.writes.is_empty() {
-                    self.service_next_write(at, false);
-                }
-                let (bank, row) = self.locate(local_block);
-                self.writes.push(PendingWrite { local_block, bursts, arrival: at, bank, row });
-                if self.writes.len() >= self.write_capacity {
-                    while self.writes.len() > self.write_capacity / 2 {
-                        self.service_next_write(at, true);
-                    }
-                }
-                None
+    /// Buffers a write of `bursts` bursts to `local_block` at time `at`,
+    /// draining to half capacity when the queue reaches its high
+    /// watermark. Row outcome and bus occupancy materialise at drain time.
+    pub fn write(&mut self, local_block: u64, bursts: u32, at: f64) {
+        self.drain_before(at);
+        let (bank, row) = self.locate(local_block);
+        self.writes.push(PendingWrite { local_block, bursts, arrival: at, bank, row });
+        if self.writes.len() >= self.write_capacity {
+            while self.writes.len() > self.write_capacity / 2 {
+                self.service_next_write(at, true);
             }
         }
     }
@@ -324,9 +295,8 @@ impl Dram {
         self.channels[ch].read(local, bursts, at)
     }
 
-    /// Hands a write to its channel's scheduler (serviced immediately
-    /// under `InOrder`, buffered under `FrFcfs`).
-    pub fn write(&mut self, block: BlockAddr, bursts: u32, at: f64) -> Option<DramAccess> {
+    /// Hands a write to its channel's write buffer.
+    pub fn write(&mut self, block: BlockAddr, bursts: u32, at: f64) {
         debug_assert!(block < META_BLOCK_BASE, "data block collides with the metadata region");
         let (ch, local) = self.map(block);
         self.channels[ch].write(local, bursts, at)
@@ -349,7 +319,7 @@ impl Dram {
     /// Hands the one-burst write-back of metadata line `line` to the
     /// line's own channel (dirty MDC eviction). Routed exactly like
     /// [`read_metadata`](Self::read_metadata), just on the write path.
-    pub fn write_metadata_line(&mut self, line: u64, at: f64) -> Option<DramAccess> {
+    pub fn write_metadata_line(&mut self, line: u64, at: f64) {
         let meta = META_BLOCK_BASE + line;
         let (ch, local) = self.map(meta);
         self.channels[ch].write(local, 1, at)
@@ -365,7 +335,7 @@ impl Dram {
 
     /// Hands a write of spare slot `slot` to the slot's channel, routed
     /// exactly like [`read_spare`](Self::read_spare) on the write path.
-    pub fn write_spare(&mut self, slot: u32, bursts: u32, at: f64) -> Option<DramAccess> {
+    pub fn write_spare(&mut self, slot: u32, bursts: u32, at: f64) {
         let (ch, local) = self.map(SPARE_BLOCK_BASE + u64::from(slot));
         self.channels[ch].write(local, bursts, at)
     }
@@ -408,19 +378,13 @@ mod tests {
         GpuConfig::default()
     }
 
-    fn cfg_with(policy: SchedPolicy) -> GpuConfig {
-        GpuConfig { sched_policy: policy, ..GpuConfig::default() }
-    }
-
     #[test]
     fn first_access_pays_row_miss() {
-        for policy in [SchedPolicy::InOrder, SchedPolicy::FrFcfs] {
-            let mut ch = Channel::new(&cfg_with(policy));
-            let a = ch.read(0, 4, 0.0);
-            assert!(!a.row_hit);
-            let expect = cfg().row_miss_sm_cycles() + 4.0 * cfg().burst_sm_cycles();
-            assert!((a.done - expect).abs() < 1e-9);
-        }
+        let mut ch = Channel::new(&cfg());
+        let a = ch.read(0, 4, 0.0);
+        assert!(!a.row_hit);
+        let expect = cfg().row_miss_sm_cycles() + 4.0 * cfg().burst_sm_cycles();
+        assert!((a.done - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -465,19 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn inorder_services_writes_immediately() {
-        let mut ch = Channel::new(&cfg_with(SchedPolicy::InOrder));
-        let a = ch.write(0, 4, 0.0).expect("InOrder writes are serviced at arrival");
-        assert!(!a.row_hit);
-        assert_eq!(ch.pending_writes(), 0);
-        assert!(ch.free_at() > 0.0);
-    }
-
-    #[test]
     fn frfcfs_buffers_writes_until_drained() {
-        let mut ch = Channel::new(&cfg_with(SchedPolicy::FrFcfs));
-        assert!(ch.write(0, 4, 0.0).is_none(), "FR-FCFS buffers the write");
-        assert_eq!(ch.pending_writes(), 1);
+        let mut ch = Channel::new(&cfg());
+        ch.write(0, 4, 0.0);
+        assert_eq!(ch.pending_writes(), 1, "FR-FCFS buffers the write");
         assert_eq!(ch.free_at(), 0.0, "nothing has touched the bus yet");
         ch.drain_writes(0.0);
         assert_eq!(ch.pending_writes(), 0);
@@ -488,28 +443,20 @@ mod tests {
 
     #[test]
     fn read_bypasses_buffered_writes() {
-        // A queued write to a far row must not delay a younger read under
-        // FR-FCFS; under InOrder the write occupies the bus first.
+        // A queued write to a far row must not delay a younger read: the
+        // read finishes exactly as it would on an idle channel.
         let far = cfg().banks_per_channel as u64 * cfg().row_blocks;
-        let in_order = {
-            let mut ch = Channel::new(&cfg_with(SchedPolicy::InOrder));
-            ch.write(far, 4, 0.0);
-            ch.read(0, 4, 0.0).done
-        };
-        let frfcfs = {
-            let mut ch = Channel::new(&cfg_with(SchedPolicy::FrFcfs));
-            ch.write(far, 4, 0.0);
-            ch.read(0, 4, 0.0).done
-        };
-        assert!(
-            frfcfs < in_order,
-            "read-over-write priority must shorten the read: {frfcfs} vs {in_order}"
-        );
+        let mut ch = Channel::new(&cfg());
+        ch.write(far, 4, 0.0);
+        let read = ch.read(0, 4, 0.0);
+        assert_eq!(ch.pending_writes(), 1, "the write is still buffered");
+        let idle = cfg().row_miss_sm_cycles() + 4.0 * cfg().burst_sm_cycles();
+        assert!((read.done - idle).abs() < 1e-9, "read-over-write priority: {}", read.done);
     }
 
     #[test]
     fn watermark_drains_to_half_capacity() {
-        let cfg = cfg_with(SchedPolicy::FrFcfs);
+        let cfg = cfg();
         let mut ch = Channel::new(&cfg);
         for i in 0..cfg.write_buffer_entries {
             ch.write(i as u64, 4, 0.0);
@@ -524,7 +471,7 @@ mod tests {
 
     #[test]
     fn age_cap_forces_stale_writes_ahead_of_reads() {
-        let cfg = cfg_with(SchedPolicy::FrFcfs);
+        let cfg = cfg();
         let mut ch = Channel::new(&cfg);
         // Saturate the bus so the idle drain never triggers: the write
         // can only leave via the starvation cap.
@@ -544,7 +491,7 @@ mod tests {
 
     #[test]
     fn idle_bus_drains_writes_before_a_read() {
-        let cfg = cfg_with(SchedPolicy::FrFcfs);
+        let cfg = cfg();
         let mut ch = Channel::new(&cfg);
         ch.write(0, 4, 0.0);
         // The bus is idle between 0 and the read's arrival (which stays
@@ -562,19 +509,16 @@ mod tests {
 
     #[test]
     fn drain_groups_row_hits() {
-        // Writes ping-ponging between two rows of one bank: buffered
-        // FR-FCFS drain groups them per row, the in-order service
-        // activates on every single write.
+        // Six writes ping-ponging between two rows of one bank: servicing
+        // them in arrival order would activate on every single write (6),
+        // the buffered FR-FCFS drain groups them per row.
         let far = cfg().banks_per_channel as u64 * cfg().row_blocks;
-        let mut in_order = Channel::new(&cfg_with(SchedPolicy::InOrder));
-        let mut frfcfs = Channel::new(&cfg_with(SchedPolicy::FrFcfs));
+        let mut frfcfs = Channel::new(&cfg());
         for i in 0..6u64 {
             let block = if i % 2 == 0 { i / 2 } else { far + i / 2 };
-            in_order.write(block, 4, 0.0);
             frfcfs.write(block, 4, 0.0);
         }
         frfcfs.drain_writes(0.0);
-        assert_eq!(in_order.telemetry().row_misses, 6, "ping-pong activates every time");
         assert!(
             frfcfs.telemetry().row_misses < 6,
             "row-hit-first drain must group rows: {} activates",
@@ -604,7 +548,7 @@ mod tests {
 
     #[test]
     fn metadata_writeback_routes_by_line_address() {
-        let mut dram = Dram::new(&cfg_with(SchedPolicy::FrFcfs));
+        let mut dram = Dram::new(&cfg());
         dram.write_metadata_line(0, 0.0);
         assert_eq!(dram.pending_writes(), 1);
         dram.drain_writes(0.0);

@@ -1,5 +1,5 @@
-//! Channel request scheduling: the policy enum and the FR-FCFS write
-//! queue behind [`super::Channel`].
+//! Channel request scheduling: the FR-FCFS write queue behind
+//! [`super::Channel`].
 //!
 //! The simulator resolves read completions synchronously (an SM needs its
 //! load's completion time the moment it issues), so the reorder window a
@@ -14,22 +14,6 @@
 //!   kernel. Drain order is FR-FCFS proper: row-hit-first against the
 //!   banks' open rows, oldest-first among equals, and an age cap that
 //!   promotes the oldest entry over any row hit so no write starves.
-//!
-//! [`SchedPolicy::InOrder`] bypasses the queue entirely and reproduces
-//! the legacy single-horizon channel bit for bit — the policy a refactor
-//! lands under before the default flips, so figure deltas stay
-//! attributable to the scheduler and never to the plumbing.
-
-/// Channel scheduling policy (a [`crate::GpuConfig`] knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Legacy model: every request is serviced immediately at arrival in
-    /// program order; writes occupy the bus ahead of younger reads.
-    InOrder,
-    /// FR-FCFS arbitration: reads bypass buffered writes, the write queue
-    /// drains row-hit-first with an age cap (see the module docs).
-    FrFcfs,
-}
 
 /// One buffered write request.
 #[derive(Debug, Clone, Copy)]

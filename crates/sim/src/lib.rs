@@ -39,7 +39,6 @@ pub mod stats;
 pub mod trace;
 
 pub use config::GpuConfig;
-pub use dram::sched::SchedPolicy;
 pub use engine::Engine;
 pub use fault::{FaultConfig, FaultMap, FaultPattern, FaultPlan};
 pub use mc::{BurstsMap, BurstsSource};

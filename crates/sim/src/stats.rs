@@ -58,8 +58,7 @@ pub struct SimStats {
     /// beyond the pure access latency (buffered writes count from
     /// arrival), summed over all channels and truncated to whole cycles.
     pub queue_wait_cycles: u64,
-    /// Writes serviced out of the FR-FCFS write buffers (0 under the
-    /// `InOrder` policy, where writes never buffer).
+    /// Writes serviced out of the FR-FCFS write buffers.
     pub write_drains: u64,
     /// Of [`write_drains`](Self::write_drains), those forced by a full
     /// buffer (high watermark) or the starvation age cap rather than an

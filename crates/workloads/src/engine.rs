@@ -33,7 +33,7 @@
 use crate::analysis::SnapshotAnalysis;
 use slc_compress::e2mc::E2mc;
 use slc_compress::BLOCK_BYTES;
-use slc_engine::{Engine, Threads};
+use slc_engine::Engine;
 use slc_sim::GpuMemory;
 use std::sync::Arc;
 
@@ -59,7 +59,8 @@ pub fn snapshot_engine(e2mc: &E2mc) -> Engine {
 /// Compresses a snapshot byte image into a framed container, feeding the
 /// engine the snapshot's **cached** per-block sizes instead of letting it
 /// re-analyse — see the module docs for the sharing contract. The
-/// container is byte-identical to `engine.compress(bytes)`.
+/// container is byte-identical to `engine.compress(bytes)`, and the
+/// engine's worker setting applies.
 ///
 /// # Panics
 ///
@@ -71,7 +72,6 @@ pub fn compress_snapshot(
     e2mc: &E2mc,
     bytes: &[u8],
     snapshot: &SnapshotAnalysis,
-    threads: Threads,
 ) -> Vec<u8> {
     assert!(
         snapshot.matches(e2mc),
@@ -83,7 +83,7 @@ pub fn compress_snapshot(
         "byte image and snapshot disagree on the block count"
     );
     let sizes: Vec<u32> = snapshot.entries().iter().map(|b| b.analysis.e2mc_size_bits()).collect();
-    engine.compress_with_sizes(bytes, &sizes, threads)
+    engine.compress_with_sizes(bytes, &sizes)
 }
 
 #[cfg(test)]
@@ -123,10 +123,10 @@ mod tests {
         let e2mc = trained();
         let mem = memory();
         let snapshot = SnapshotAnalysis::capture(&e2mc, &mem);
-        let engine = snapshot_engine(&e2mc);
+        let engine = snapshot_engine(&e2mc).with_workers(1);
         let bytes = snapshot_bytes(&mem);
         let plain = engine.compress(&bytes);
-        let cached = compress_snapshot(&engine, &e2mc, &bytes, &snapshot, Threads::Serial);
+        let cached = compress_snapshot(&engine, &e2mc, &bytes, &snapshot);
         assert_eq!(plain, cached, "the no-re-analysis path must not change a single byte");
         assert_eq!(engine.decompress(&cached).unwrap(), bytes);
         let info = frame_info(&cached).unwrap();
@@ -139,9 +139,9 @@ mod tests {
         let e2mc = trained();
         let mem = memory();
         let snapshot = SnapshotAnalysis::capture(&trained(), &mem);
-        let engine = snapshot_engine(&e2mc);
+        let engine = snapshot_engine(&e2mc).with_workers(1);
         let bytes = snapshot_bytes(&mem);
-        let _ = compress_snapshot(&engine, &e2mc, &bytes, &snapshot, Threads::Serial);
+        let _ = compress_snapshot(&engine, &e2mc, &bytes, &snapshot);
     }
 
     #[test]
@@ -150,14 +150,8 @@ mod tests {
         let e2mc = trained();
         let mem = memory();
         let snapshot = SnapshotAnalysis::capture(&e2mc, &mem);
-        let engine = snapshot_engine(&e2mc);
+        let engine = snapshot_engine(&e2mc).with_workers(1);
         let bytes = snapshot_bytes(&mem);
-        let _ = compress_snapshot(
-            &engine,
-            &e2mc,
-            &bytes[..bytes.len() - BLOCK_BYTES],
-            &snapshot,
-            Threads::Serial,
-        );
+        let _ = compress_snapshot(&engine, &e2mc, &bytes[..bytes.len() - BLOCK_BYTES], &snapshot);
     }
 }

@@ -9,7 +9,7 @@ use slc::slc_compress::bdi::Bdi;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc::slc_compress::rans::Rans;
 use slc::slc_engine::{
-    frame_info, ContainerError, Engine, StorageMode, Threads, DIR_ENTRY_BYTES, HEADER_BYTES,
+    frame_info, ContainerError, Engine, StorageMode, DIR_ENTRY_BYTES, HEADER_BYTES,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -47,9 +47,9 @@ fn bdi_engine() -> Engine {
 /// One corrupted decode attempt: Ok must mean a full-size buffer, Err is
 /// fine, an unguarded panic fails the test with the corruption context.
 fn assert_contained(engine: &Engine, container: &[u8], expect_len: usize, what: &str) {
-    for threads in [Threads::Serial, Threads::Exact(3)] {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| engine.decompress_threads(container, threads)));
+    for workers in [1, 3] {
+        let engine = engine.clone().with_workers(workers);
+        let result = catch_unwind(AssertUnwindSafe(|| engine.decompress(container)));
         match result {
             Err(_) => panic!("{what}: unguarded panic escaped the decode path"),
             Ok(Err(_)) => {}
