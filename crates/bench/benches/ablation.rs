@@ -1,9 +1,10 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the reproduction's design choices:
 //!
 //! * TSLC-OPT's staggered extra nodes vs the plain tree (over-
 //!   approximation reduction, §III-F).
 //! * Predictor kind: zero-fill vs the paper's literal first-symbol rule
-//!   vs lane-matched (§III-E and DESIGN.md's faithfulness note).
+//!   vs lane-matched (§III-E; see `slc_core::predict` for why
+//!   lane-matched is the default).
 //! * Lossy threshold sweep (the programmer knob of §IV-C).
 //! * Metadata cache size (Fig. 3's MDC).
 //!

@@ -1,9 +1,9 @@
 //! Microbenchmarks: per-block compress/decompress throughput of every
 //! codec, SLC's size-only fast path (the hardware's tree adder), the
 //! evaluation layer's shared-analysis burst-map sweep vs the per-scheme
-//! re-encode it replaced, and the batch engine's end-to-end GB/s rows
-//! ([`slc_bench::bench_engine_e2e`]; this is the one bench that measures
-//! and gates them).
+//! re-encode it replaced, the evaluation front end (`eval/prepare_all`),
+//! and the batch engine's end-to-end GB/s rows
+//! ([`slc_bench::bench_engine_e2e`]).
 //!
 //! The sample set mixes the block archetypes GPU traffic exhibits — zero
 //! blocks, repeated values, integer ramps, small integers, smooth float
@@ -13,8 +13,10 @@
 //! "benchmark" a memcpy).
 //!
 //! Besides printing results, the bench writes a `BENCH_codec.json`
-//! baseline to the repo root (override the path with `BENCH_CODEC_JSON`)
-//! so future changes can be compared against the recorded trajectory.
+//! baseline to the repo root (override the path with `BENCH_CODEC_JSON`).
+//! The committed baseline is the row contract: CI fails when a fresh
+//! run's ids differ from it, so adding or retiring a bench means editing
+//! its baseline row in the same change.
 
 use criterion::{BatchSize, Criterion};
 use slc_compress::bdi::Bdi;
@@ -25,10 +27,12 @@ use slc_compress::fpc::Fpc;
 use slc_compress::rans::Rans;
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
+use slc_exp::eval::prepare_all;
 use slc_sim::dram::Channel;
 use slc_sim::{FaultConfig, FaultMap, FaultPattern, GpuConfig, GpuMemory};
 use slc_workloads::analysis::SnapshotAnalysis;
 use slc_workloads::scheme::{BurstsAccumulator, Scheme};
+use slc_workloads::{Harness, Scale};
 
 /// Deterministic per-block PRNG (SplitMix64) for the noise archetype.
 fn mix(mut x: u64) -> u64 {
@@ -179,6 +183,11 @@ fn bench_slc_paths(c: &mut Criterion) {
 /// `eval/bursts_map_direct` is the pre-refactor shape — every scheme
 /// re-derives every block's E2MC code lengths — so the ratio of the two
 /// rows is the (schemes × thresholds) → 1 reduction in encode work.
+///
+/// `eval/prepare_all` is the Fig. 9 front end for every benchmark at tiny
+/// scale (exact runs, table training and trace generation, in parallel):
+/// the fixed cost every sweep pays before its first scheme runs. It
+/// guards the prepare path's fan-out and the lazy caches' construction.
 fn bench_eval_paths(c: &mut Criterion) {
     let blocks = sample_blocks();
     let e2mc = trained_e2mc(&blocks);
@@ -223,6 +232,8 @@ fn bench_eval_paths(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
+    let harness = Harness::new(Scale::Tiny);
+    g.bench_function("prepare_all", |b| b.iter(|| prepare_all(Scale::Tiny, &harness).len()));
     g.finish();
 }
 
@@ -327,5 +338,5 @@ fn main() {
     bench_sim_paths(&mut c);
     bench_lint_paths(&mut c);
     slc_bench::bench_engine_e2e(&mut c);
-    slc_bench::write_baseline(&c, "codec_throughput", "BENCH_CODEC_JSON", "BENCH_codec.json");
+    slc_bench::write_baseline(&c);
 }

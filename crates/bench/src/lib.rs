@@ -1,9 +1,10 @@
 //! Benchmark-only crate.
 //!
-//! Hosts the Criterion benches that regenerate every table and figure of
-//! the paper (see `benches/`). The library holds the batch-engine
-//! end-to-end rows (measured and gated once, by `codec_throughput`) and
-//! the JSON baseline writer every custom bench `main` funnels through.
+//! Hosts the two Criterion benches (see `benches/`): `codec_throughput`,
+//! whose rows CI gates against the committed `BENCH_codec.json`, and
+//! `ablation`, the design study. The library holds the batch-engine
+//! end-to-end rows and the JSON baseline writer `codec_throughput`
+//! funnels through.
 
 #![forbid(unsafe_code)]
 
@@ -13,8 +14,6 @@ use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::rans::Rans;
 use slc_engine::Engine;
 use std::sync::Arc;
-
-pub use slc_exp as exp;
 
 /// Byte size of the end-to-end engine corpus: large enough that one
 /// iteration amortises thread-pool hand-off and the ns/iter ↔ GB/s
@@ -113,17 +112,18 @@ pub fn bench_engine_e2e(c: &mut Criterion) {
 
 /// Serialises `c`'s results as a regression-gate baseline
 /// (`tools/check_bench_regression.py` format). The output path is
-/// `env_var` when set, else `<repo root>/<default_file>`.
+/// `$BENCH_CODEC_JSON` when set, else `<repo root>/BENCH_codec.json`.
 ///
 /// `engine/` rows carry an extra derived `gb_per_s` field (corpus bytes ÷
 /// ns/iter) so the committed baseline documents absolute end-to-end
 /// throughput, not just iteration time. The regression gate reads only
 /// `id` and `ns_per_iter` and ignores derived fields by construction.
-pub fn write_baseline(c: &Criterion, bench: &str, env_var: &str, default_file: &str) {
-    let path = std::env::var(env_var)
-        .unwrap_or_else(|_| format!("{}/../../{default_file}", env!("CARGO_MANIFEST_DIR")));
-    let mut json =
-        format!("{{\n  \"bench\": \"{bench}\",\n  \"unit\": \"ns_per_iter\",\n  \"results\": [\n");
+pub fn write_baseline(c: &Criterion) {
+    let path = std::env::var("BENCH_CODEC_JSON")
+        .unwrap_or_else(|_| format!("{}/../../BENCH_codec.json", env!("CARGO_MANIFEST_DIR")));
+    let mut json = String::from(
+        "{\n  \"bench\": \"codec_throughput\",\n  \"unit\": \"ns_per_iter\",\n  \"results\": [\n",
+    );
     for (i, r) in c.results().iter().enumerate() {
         let sep = if i + 1 == c.results().len() { "" } else { "," };
         let gbps = if r.id.starts_with("engine/") {

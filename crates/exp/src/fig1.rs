@@ -9,7 +9,7 @@ use slc_compress::cpack::Cpack;
 use slc_compress::fpc::Fpc;
 use slc_compress::ratio::{geometric_mean, RatioAccumulator};
 use slc_compress::{BlockCompressor, Mag, BLOCK_BYTES};
-use slc_workloads::{all_workloads, Harness, Scale};
+use slc_workloads::{all_workloads, BenchmarkArtifacts, Harness, Scale};
 
 /// Per-benchmark, per-codec ratio pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,18 +45,31 @@ pub struct Fig1 {
 
 /// Computes Fig. 1 at `scale` under `mag`.
 pub fn compute(scale: Scale, mag: Mag) -> Fig1 {
+    measure(scale, mag, |artifacts| {
+        vec![
+            Box::new(Bdi::new()),
+            Box::new(Fpc::new()),
+            Box::new(Cpack::new()),
+            Box::new(artifacts.e2mc.clone()),
+            Box::new(Bpc::new()),
+        ]
+    })
+}
+
+/// Raw and effective ratio of every codec `codecs` builds for each
+/// benchmark's exact memory image, plus the per-codec geometric means.
+fn measure<F>(scale: Scale, mag: Mag, codecs: F) -> Fig1
+where
+    F: Fn(&BenchmarkArtifacts) -> Vec<Box<dyn BlockCompressor>> + Sync,
+{
     let harness = Harness::new(scale);
     // Benchmarks are independent: measure them in parallel, paper order
     // preserved by the order-preserving map.
     let rows = slc_par::par_map(all_workloads(scale), |w| {
         let artifacts = harness.prepare(w.as_ref());
-        let bdi = Bdi::new();
-        let fpc = Fpc::new();
-        let cpack = Cpack::new();
-        let bpc = Bpc::new();
-        let codecs: [&dyn BlockCompressor; 5] = [&bdi, &fpc, &cpack, &artifacts.e2mc, &bpc];
+        let codecs = codecs(&artifacts);
         let mut accs: Vec<RatioAccumulator> =
-            (0..codecs.len()).map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
+            codecs.iter().map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
         for (_, block) in artifacts.exact_memory.all_blocks() {
             for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
                 acc.record_bits(codec.size_bits(&block));
@@ -70,7 +83,8 @@ pub fn compute(scale: Scale, mag: Mag) -> Fig1 {
                 .collect(),
         }
     });
-    let gm = (0..CODECS.len())
+    let codec_count = rows.first().map_or(0, |r| r.ratios.len());
+    let gm = (0..codec_count)
         .map(|c| RatioPair {
             raw: geometric_mean(&rows.iter().map(|r| r.ratios[c].raw).collect::<Vec<_>>()),
             effective: geometric_mean(
@@ -125,39 +139,15 @@ impl Fig1 {
 pub fn compute_section2a(scale: Scale, mag: Mag) -> Fig1 {
     use slc_compress::hycomp::{FpH, HyComp};
     use slc_compress::sc2::Sc2;
-    let harness = Harness::new(scale);
-    let rows = slc_par::par_map(all_workloads(scale), |w| {
-        let artifacts = harness.prepare(w.as_ref());
+    measure(scale, mag, |artifacts| {
         let training: Vec<u8> =
             artifacts.exact_memory.all_blocks().flat_map(|(_, b)| b.to_vec()).collect();
-        let sc2 = Sc2::train_on_bytes(&training, slc_compress::sc2::DEFAULT_TOP_K);
-        let fph = FpH::train_on_bytes(&training);
-        let hycomp = HyComp::train_on_bytes(&training);
-        let codecs: [&dyn BlockCompressor; 3] = [&sc2, &fph, &hycomp];
-        let mut accs: Vec<RatioAccumulator> =
-            (0..codecs.len()).map(|_| RatioAccumulator::new(mag, BLOCK_BYTES as u32)).collect();
-        for (_, block) in artifacts.exact_memory.all_blocks() {
-            for (codec, acc) in codecs.iter().zip(accs.iter_mut()) {
-                acc.record_bits(codec.size_bits(&block));
-            }
-        }
-        Fig1Row {
-            name: artifacts.name.clone(),
-            ratios: accs
-                .iter()
-                .map(|a| RatioPair { raw: a.raw_ratio(), effective: a.effective_ratio() })
-                .collect(),
-        }
-    });
-    let gm = (0..3)
-        .map(|c| RatioPair {
-            raw: geometric_mean(&rows.iter().map(|r| r.ratios[c].raw).collect::<Vec<_>>()),
-            effective: geometric_mean(
-                &rows.iter().map(|r| r.ratios[c].effective).collect::<Vec<_>>(),
-            ),
-        })
-        .collect();
-    Fig1 { rows, gm, mag }
+        vec![
+            Box::new(Sc2::train_on_bytes(&training, slc_compress::sc2::DEFAULT_TOP_K)),
+            Box::new(FpH::train_on_bytes(&training)),
+            Box::new(HyComp::train_on_bytes(&training)),
+        ]
+    })
 }
 
 /// Renders the Section II-A table (SC2 / FP-H / HyComp).

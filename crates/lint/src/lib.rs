@@ -6,7 +6,7 @@
 //! container is offline), shipping its own hand-rolled Rust [`lexer`], a
 //! shallow item [`scan`]ner, and a best-effort intra-workspace call
 //! graph; the per-file scan fans out through the workspace's `slc-par`.
-//! Seven checks run over the whole workspace:
+//! Six checks run over the whole workspace:
 //!
 //! 1. **`hot-path`** — functions rooted at the committed manifest
 //!    `tools/lint/hot_paths.txt` must not transitively reach `panic!`,
@@ -23,17 +23,14 @@
 //! 4. **`assert`** — hard `assert!`/`assert_eq!`/`assert_ne!` in
 //!    manifest hot paths flags (repo convention: `debug_assert!` on hot
 //!    paths); `debug_assert*` never flags.
-//! 5. **`bench-rows`** — bench ids registered in `crates/bench` sources
-//!    must match `tools/bench_rows.txt` / `tools/eval_rows.txt` in both
-//!    directions, catching dropped rows at lint time.
-//! 6. **`wire-taint`** — dataflow: a value returned by a taint *source*
+//! 5. **`wire-taint`** — dataflow: a value returned by a taint *source*
 //!    (the wire-read helpers registered in `tools/lint/untrusted.txt`)
 //!    must not reach a dangerous sink — slice indexing, allocation
 //!    sizes (`with_capacity`/`resize`/`reserve`), `copy_from_slice`/
 //!    `get_unchecked` arguments, `for`-loop range bounds, or shift
 //!    amounts — without first passing a registered *sanitizer* or a
 //!    visible range comparison. See [`taint`].
-//! 7. **`taint-arith`** — bare `+`/`-`/`*` (and their compound-assign
+//! 6. **`taint-arith`** — bare `+`/`-`/`*` (and their compound-assign
 //!    forms) on a still-unguarded tainted integer flags: arithmetic on
 //!    untrusted lengths must be `checked_*`/`saturating_*` or follow a
 //!    range guard, so silent wraparound cannot size a later access.
@@ -136,7 +133,6 @@ pub mod debt;
 pub mod graph;
 pub mod hygiene;
 pub mod lexer;
-pub mod rows;
 pub mod scan;
 pub mod taint;
 pub mod wire;

@@ -16,7 +16,7 @@
 //! tool could not do its job — also surfaced as findings), so CI can
 //! gate on it directly; see the crate docs for the full taxonomy.
 
-use slc_lint::{debt, graph, hygiene, rows, taint, waiver_hint, wire, Finding, Workspace};
+use slc_lint::{debt, graph, hygiene, taint, waiver_hint, wire, Finding, Workspace};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -116,22 +116,7 @@ fn main() -> ExitCode {
         }),
     }
 
-    // 5: bench-row cross-check.
-    let mut manifests = Vec::new();
-    for path in ["tools/bench_rows.txt", "tools/eval_rows.txt"] {
-        match std::fs::read_to_string(root.join(path)) {
-            Ok(text) => manifests.push((path.to_string(), rows::parse_rows(&text))),
-            Err(e) => findings.push(Finding {
-                check: rows::BENCH_ROWS,
-                file: path.to_string(),
-                line: 0,
-                message: format!("cannot read row manifest: {e}"),
-            }),
-        }
-    }
-    findings.extend(rows::check_rows(&ws, &manifests));
-
-    // 6 + 7: wire-taint dataflow + tainted arithmetic.
+    // 5 + 6: wire-taint dataflow + tainted arithmetic.
     match std::fs::read_to_string(root.join(taint::MANIFEST)) {
         Ok(text) => {
             let manifest = taint::parse_manifest(&text);
@@ -146,7 +131,7 @@ fn main() -> ExitCode {
         }),
     }
 
-    // 8: waiver-debt lock.
+    // 7: waiver-debt lock.
     match std::fs::read_to_string(root.join(debt::LOCK_PATH)) {
         Ok(text) => {
             findings.extend(debt::check_lock(&debt_snapshot, &debt::parse_lock(&text)));

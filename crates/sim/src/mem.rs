@@ -11,8 +11,9 @@
 //! or not." Workload kernels allocate their arrays here, flagging the ones
 //! whose approximation cannot cause catastrophic failures; the harness
 //! then stages flagged regions through the SLC codec at kernel-boundary
-//! DRAM round-trips (see DESIGN.md for why kernel granularity preserves
-//! the paper's behaviour for these memory-bound apps).
+//! DRAM round-trips. Kernel granularity preserves the paper's behaviour
+//! for these memory-bound apps: every approximable array crosses DRAM
+//! between the kernels that produce and consume it.
 
 use crate::BlockAddr;
 use slc_compress::{Block, BLOCK_BYTES};

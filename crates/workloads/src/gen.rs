@@ -4,7 +4,7 @@
 //! replaced with seeded synthetic equivalents that reproduce the
 //! *compressibility profile* that matters to SLC: smooth images, clustered
 //! floating-point magnitudes, and high-entropy option parameters (see
-//! DESIGN.md's substitution table). Everything is deterministic in the
+//! PAPER.md, "This reproduction"). Everything is deterministic in the
 //! seed.
 
 use rand::rngs::StdRng;

@@ -7,7 +7,7 @@ use slc_sim::{GpuMemory, Trace};
 ///
 /// The paper runs 4 M options / 1024² images / 8–20 M elements on
 /// gpgpu-sim; this reproduction defaults to 4–16× smaller inputs so the
-/// full figure suite runs in minutes (DESIGN.md §7). `Full` matches the
+/// full figure suite runs in minutes. `Full` matches the
 /// paper sizes where feasible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {

@@ -1,38 +1,37 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench run against its committed baseline.
-
-Works for any baseline in the shared bench-JSON shape (``BENCH_codec.json``
-from codec_throughput, ``BENCH_eval.json`` from eval_pipeline, ...).
+"""Gate a fresh bench run against its committed baseline.
 
 Usage: check_bench_regression.py BASELINE_JSON CANDIDATE_JSON [--tolerance PCT]
 
-Fails (exit 1) when any benchmark row present in both files is more than
-``--tolerance`` percent slower than the baseline *after normalising for
-machine speed*: each row's candidate/baseline ratio is divided by the
-median ratio across all shared rows, so a runner that is uniformly slower
-(or faster) than the machine that produced the committed baseline cancels
-out, and only rows that regressed relative to their peers fail. The
-trade-off: a change that slows every row by the same factor is invisible
-to this gate (pass ``--no-normalize`` for raw cross-machine comparison).
+The committed baseline (``BENCH_codec.json``, written by
+``cargo bench --bench codec_throughput``) is the row contract: it alone
+defines which rows exist. The check fails (exit 1), naming each id, when
+
+* a baseline row is missing from the candidate run (a dropped or renamed
+  bench);
+* the run reports a row the baseline lacks (an unlisted bench, including
+  one whose id a loop generates);
+* either file repeats an id (two registrations under one name would
+  otherwise collapse, and one measurement would never be gated).
+
+Adding or retiring a bench therefore means editing its baseline row in
+the same change, which is the review-visible signal we want.
+
+Timing: the check also fails when any row is more than ``--tolerance``
+percent slower than the baseline *after normalising for machine speed*:
+each row's candidate/baseline ratio is divided by the median ratio across
+all rows, clamped at 1.0, so a runner that is uniformly slower than the
+machine that produced the baseline cancels out, and only rows that
+regressed relative to their peers fail. The trade-off: a change that slows
+every row by the same factor is invisible to this gate (pass
+``--no-normalize`` for raw cross-machine comparison). The default
+tolerance of 30% is deliberately loose: the gate exists to catch lost
+fast paths and accidental asymptotic regressions, not single-digit drift.
 
 Rows may carry extra derived fields (e.g. the ``gb_per_s`` the engine
 rows record for human consumption); the gate reads only ``id`` and
-``ns_per_iter`` and ignores everything else, so derived fields can never
-double-count a regression or mask one.
-
-Rows only present on one side are reported as warnings but never fail
-the check (nor crash it), so adding or retiring benches does not break
-CI; a trailing summary counts them so a renamed row cannot slip through
-silently as one "new" plus one "retired". The default tolerance of
-30% is deliberately loose: the gate exists to catch lost fast paths and
-accidental asymptotic regressions, not single-digit drift.
-
-``--require-rows MANIFEST`` closes the loophole the warnings leave: the
-manifest (one row id per line, ``#`` comments allowed) lists the rows
-that must exist in the *candidate* run, and any missing one fails the
-check — a silently dropped or renamed bench can no longer pass CI as a
-mere warning. Retiring a bench on purpose means editing the manifest in
-the same change, which is exactly the review-visible signal we want.
+``ns_per_iter``, so derived fields can never double-count a regression or
+mask one.
 """
 
 import argparse
@@ -48,10 +47,11 @@ def die(message):
 
 
 def load_rows(path):
+    """Maps each row id of the bench JSON at `path` to its ns/iter."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        return {r["id"]: float(r["ns_per_iter"]) for r in doc["results"]}
+        pairs = [(r["id"], float(r["ns_per_iter"])) for r in doc["results"]]
     except OSError as exc:
         die(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -59,9 +59,18 @@ def load_rows(path):
     except (KeyError, TypeError, ValueError) as exc:
         die(f"{path} is not a bench baseline "
             f"(expected {{'results': [{{'id', 'ns_per_iter'}}, ...]}}): {exc!r}")
+    rows = {}
+    repeated = set()
+    for row_id, ns in pairs:
+        if row_id in rows:
+            repeated.add(row_id)
+        rows[row_id] = ns
+    if repeated:
+        die(f"{path} repeats row id(s): {', '.join(sorted(repeated))}")
+    return rows
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("candidate")
@@ -69,35 +78,26 @@ def main():
                     help="allowed relative slowdown in percent (default: 30)")
     ap.add_argument("--no-normalize", action="store_true",
                     help="compare raw ns/iter instead of median-normalised ratios")
-    ap.add_argument("--require-rows", metavar="MANIFEST",
-                    help="file listing row ids (one per line, # comments) that "
-                         "must be present in CANDIDATE; missing rows fail")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     base = load_rows(args.baseline)
     cand = load_rows(args.candidate)
     limit = 1.0 + args.tolerance / 100.0
 
-    if args.require_rows:
-        try:
-            with open(args.require_rows) as fh:
-                required = [line.strip() for line in fh
-                            if line.strip() and not line.lstrip().startswith("#")]
-        except OSError as exc:
-            die(f"cannot read manifest {args.require_rows}: {exc}")
-        missing = [row_id for row_id in required if row_id not in cand]
-        if missing:
-            print(f"{len(missing)} required row(s) missing from {args.candidate} "
-                  f"(manifest: {args.require_rows}):")
-            for row_id in missing:
-                print(f"  MISSING {row_id}")
-            print("a bench was dropped or renamed without updating the manifest")
-            return 1
-        print(f"all {len(required)} required rows present "
-              f"(manifest: {args.require_rows})")
+    missing = sorted(base.keys() - cand.keys())
+    unlisted = sorted(cand.keys() - base.keys())
+    if missing or unlisted:
+        print(f"row set of {args.candidate} differs from the baseline {args.baseline}:")
+        for row_id in missing:
+            print(f"  MISSING  {row_id} (baseline row the run did not report)")
+        for row_id in unlisted:
+            print(f"  UNLISTED {row_id} (run row the baseline does not list)")
+        print("a bench was added, dropped or renamed without editing its "
+              "baseline row in the same change")
+        return 1
+    print(f"row set matches the baseline ({len(base)} rows)")
 
-    shared = sorted(k for k in base.keys() & cand.keys() if base[k] > 0)
-    ratios = {k: cand[k] / base[k] for k in shared}
+    ratios = {k: cand[k] / base[k] for k in base if base[k] > 0}
     pivot = 1.0
     if ratios and not args.no_normalize:
         # Clamped at 1.0: a slower runner cancels out, but a run where
@@ -112,23 +112,14 @@ def main():
             # stays green either way — this banner is the tripwire a
             # human must follow up: rerun on the baseline's machine, or
             # with --no-normalize.
-            print(f"WARNING: every shared row is >= ~{pivot:.1f}x the committed "
+            print(f"WARNING: every row is >= ~{pivot:.1f}x the committed "
                   "baseline. If this machine class matches the one that "
                   "generated the baseline, that is a uniform regression "
                   "the normalised gate cannot flag — investigate before "
                   "trusting this pass.")
 
     failures = []
-    one_sided = 0
-    for row_id in sorted(base.keys() | cand.keys()):
-        if row_id not in base:
-            one_sided += 1
-            print(f"  WARN new row (no baseline, not gated):      {row_id}")
-            continue
-        if row_id not in cand:
-            one_sided += 1
-            print(f"  WARN retired row (baseline only, not gated): {row_id}")
-            continue
+    for row_id in sorted(base):
         rel = ratios.get(row_id, 1.0) / pivot
         marker = "FAIL" if rel > limit else "ok"
         print(f"  {marker:4} {row_id:44} {base[row_id]:9.1f} -> {cand[row_id]:9.1f} ns "
@@ -136,17 +127,13 @@ def main():
         if rel > limit:
             failures.append((row_id, rel))
 
-    if one_sided:
-        print(f"\nWARNING: {one_sided} row(s) present in only one file — "
-              "regenerate the committed baseline if a bench was added or "
-              "renamed, so future runs gate on it.")
     if failures:
         print(f"\n{len(failures)} row(s) regressed beyond {args.tolerance:.0f}% "
               "relative to the run median:")
         for row_id, rel in failures:
             print(f"  {row_id}: {rel:.2f}x")
         return 1
-    print(f"\nall shared rows within {args.tolerance:.0f}% (relative)")
+    print(f"\nall rows within {args.tolerance:.0f}% (relative)")
     return 0
 
 
