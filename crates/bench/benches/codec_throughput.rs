@@ -24,7 +24,9 @@ use slc_compress::bpc::Bpc;
 use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
+use slc_compress::hycomp::{FpH, HyComp};
 use slc_compress::rans::Rans;
+use slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
 use slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
 use slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 use slc_exp::eval::prepare_all;
@@ -88,9 +90,12 @@ fn sample_blocks() -> Vec<Block> {
         .collect()
 }
 
+fn training_bytes(blocks: &[Block]) -> Vec<u8> {
+    blocks.iter().flat_map(|b| b.to_vec()).collect()
+}
+
 fn trained_e2mc(blocks: &[Block]) -> E2mc {
-    let training: Vec<u8> = blocks.iter().flat_map(|b| b.to_vec()).collect();
-    E2mc::train_on_bytes(&training, &E2mcConfig::default())
+    E2mc::train_on_bytes(&training_bytes(blocks), &E2mcConfig::default())
 }
 
 fn bench_codecs(c: &mut Criterion) {
@@ -109,8 +114,15 @@ fn bench_codecs(c: &mut Criterion) {
         ("e2mc", &e2mc),
         ("rans", &rans),
     ];
+    // The §II-A codecs (encode only), trained on the same sample blocks.
+    let training = training_bytes(&blocks);
+    let sc2 = Sc2::train_on_bytes(&training, DEFAULT_TOP_K);
+    let fph = FpH::train_on_bytes(&training);
+    let hycomp = HyComp::train_on_bytes(&training);
+    let section_2a: [(&str, &dyn BlockCompressor); 3] =
+        [("sc2", &sc2), ("fph", &fph), ("hycomp", &hycomp)];
     let mut g = c.benchmark_group("compress_block");
-    for (name, codec) in codecs {
+    for (name, codec) in codecs.into_iter().chain(section_2a) {
         g.bench_function(name, |b| {
             let mut i = 0;
             b.iter(|| {

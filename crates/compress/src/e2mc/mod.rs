@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::symbols::{block_to_symbols, symbols_to_block, SYMBOLS_PER_BLOCK};
-use crate::{Block, BlockCompressor, Compressed, BLOCK_BITS, BLOCK_BYTES};
+use crate::{store_raw, Block, BlockCompressor, BLOCK_BITS, BLOCK_BYTES};
 
 /// Number of parallel decoding ways (the paper's best configuration).
 pub const WAYS: usize = 4;
@@ -100,8 +100,8 @@ pub struct SymbolTable {
     /// Symbol value -> packed `(bits << 8) | width`, where `bits` is the
     /// complete wire encoding (codeword, or escape codeword followed by the
     /// 16 raw symbol bits) and `width <= 32` its length. Precomputed so
-    /// [`encode_symbol`](Self::encode_symbol) is a single table load and
-    /// one [`BitWriter::write`].
+    /// encoding a symbol is a single table load and one
+    /// [`BitWriter::write`].
     enc: Vec<u64>,
     /// Decode window (left-aligned `MAX_CODE_LEN` bits) -> packed
     /// `(symbol << 16) | (escape << 8) | code_length`. Fuses the canonical
@@ -170,27 +170,9 @@ impl SymbolTable {
         Self { code, escape_entry, top: symbols, enc, dec, bits }
     }
 
-    /// Encoded length of `symbol` in bits (escape + 16 raw bits when the
-    /// symbol is not in the table).
-    pub fn symbol_bits(&self, symbol: u16) -> u32 {
-        self.bits[symbol as usize] as u32
-    }
-
     /// Total cost of an escaped symbol.
     pub fn escape_bits(&self) -> u32 {
         self.code.length(self.escape_entry) + 16
-    }
-
-    /// Number of symbols holding dedicated codes.
-    pub fn coded_symbols(&self) -> usize {
-        self.top.len()
-    }
-
-    /// Appends the codeword(s) for `symbol` — one precomputed write, even
-    /// for escapes (escape codeword and raw bits are fused at training).
-    pub fn encode_symbol(&self, w: &mut BitWriter, symbol: u16) {
-        let packed = self.enc[symbol as usize];
-        w.write(packed >> 8, (packed & 0xff) as u32);
     }
 
     /// Stashes every symbol's packed wire encoding in one table pass, for
@@ -222,7 +204,7 @@ impl SymbolTable {
 
     /// Serialises a stash produced by
     /// [`stash_encodings`](Self::stash_encodings).
-    pub fn write_encodings(w: &mut BitWriter, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
+    pub fn write_encodings(w: &mut BitWriter<'_>, encodings: &[u64; SYMBOLS_PER_BLOCK]) {
         // Fuse consecutive codewords into one staging word while their
         // summed widths fit the writer's 57-bit push budget, so a typical
         // block costs a handful of writer calls instead of one per
@@ -242,26 +224,6 @@ impl SymbolTable {
         }
         if acc_w > 0 {
             w.write(acc, acc_w);
-        }
-    }
-
-    /// Decodes one symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a corrupt stream.
-    pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> u16 {
-        let window = r.peek_padded(MAX_CODE_LEN) as u32;
-        let packed = self.dec[window as usize];
-        let len = packed & 0xff;
-        if len == 0 {
-            panic!("corrupt E2MC stream: no codeword matches window {window:#06x}");
-        }
-        r.skip(len);
-        if packed & 0x100 != 0 {
-            r.read(16) as u16
-        } else {
-            (packed >> 16) as u16
         }
     }
 
@@ -428,7 +390,7 @@ impl BlockCompressor for E2mc {
         "e2mc"
     }
 
-    fn compress(&self, block: &Block) -> Compressed {
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
         let symbols = block_to_symbols(block);
         // Size-then-write over one stashed table pass (shared with SLC's
         // framing; see SymbolTable::stash_encodings) — replaces the seed's
@@ -437,9 +399,9 @@ impl BlockCompressor for E2mc {
         let way_bits = SymbolTable::way_bits(&encodings);
         let total = HEADER_BITS + way_bits.iter().sum::<u32>();
         if total >= BLOCK_BITS {
-            return Compressed::uncompressed(block);
+            return store_raw(block, out.len(), out);
         }
-        let mut w = BitWriter::with_capacity_bits(total);
+        let mut w = BitWriter::new(out);
         w.write(1, 1); // mode: compressed
         let mut offset = 0u32;
         for &bits in way_bits.iter().take(WAYS - 1) {
@@ -447,10 +409,10 @@ impl BlockCompressor for E2mc {
             w.write(offset as u64, PDP_BITS);
         }
         SymbolTable::write_encodings(&mut w, &encodings);
-        let (payload, bits) = w.finish();
+        let bits = w.finish();
         debug_assert_eq!(bits, total);
         debug_assert_eq!(bits, self.lossless_size_bits(block));
-        Compressed::new(bits, payload)
+        (bits, true)
     }
 
     fn decompress_into(&self, size_bits: u32, compressed: bool, payload: &[u8], out: &mut Block) {

@@ -37,14 +37,17 @@
 //! The per-block hot paths are engineered to work a machine word at a
 //! time rather than bit by bit:
 //!
-//! * **Staging-word bitstream** — [`bitstream::BitWriter`] accumulates
-//!   bits in a 64-bit staging word and flushes completed bytes with one
-//!   bulk copy per `write`; [`bitstream::BitReader`] serves any read or
-//!   peek from a single (at most 16-byte) window load. Codecs fuse each
-//!   token's prefix, index and literal fields into one `write`/`peek`
-//!   pair, so a C-PACK word or an FPC pattern costs two bitstream calls
-//!   end to end. The wire format is bit-identical to the original
-//!   byte-loop implementation (see `tests/bitstream_equivalence.rs`).
+//! * **One staging-word bitstream** — [`bitstream::BitWriter`]
+//!   accumulates bits in a 64-bit staging word and appends straight to
+//!   the caller's `Vec<u8>`: every flush is one unconditional 8-byte
+//!   store of the whole staging word, cut back to the completed bytes,
+//!   so the only branch left per write is the `Vec`'s capacity check.
+//!   [`bitstream::BitReader`] serves any read or peek from a single (at
+//!   most 16-byte) window load. Codecs fuse each token's prefix, index
+//!   and literal fields into one `write`/`peek` pair, so a C-PACK word
+//!   or an FPC pattern costs two bitstream calls end to end. The wire
+//!   format is bit-identical to the original byte-loop implementation
+//!   (see `tests/bitstream_equivalence.rs`).
 //! * **LUT Huffman decode** — [`e2mc`]'s canonical code builds a flat
 //!   decode table indexed by the longest-code-length window at training
 //!   time; decoding a symbol is one table load (plus a raw 16-bit read
@@ -52,12 +55,22 @@
 //!   by GPU Huffman decoders (cuSZ+, Rivera et al.). Encoding uses a
 //!   per-symbol `(codeword, length)` table with the escape's raw bits
 //!   pre-fused, so every symbol is exactly one `write`.
-//! * **Zero-alloc block codecs** — per-block state lives in fixed-size
-//!   arrays (BDI value/mask bitmaps, C-PACK's FIFO dictionary, BPC's
-//!   planes, E2MC's way sizes), and E2MC computes its parallel-decoding
-//!   pointers from code-length sums *before* encoding, eliminating the
-//!   per-way scratch writers. The only heap allocation per block is the
-//!   output payload itself.
+//! * **One append-into encode path** — every codec implements exactly
+//!   one encoder, [`BlockCompressor::compress_into`], which writes the
+//!   block's stream straight onto the end of a caller buffer;
+//!   [`BlockCompressor::compress`] is a thin owned wrapper for cold
+//!   paths and tests. The engine's per-block loop therefore encodes into
+//!   its chunk buffer with no per-block payload allocation or copy.
+//!   Per-block state lives in fixed-size arrays (BDI value/mask bitmaps,
+//!   C-PACK's FIFO dictionary, BPC's planes, E2MC's way sizes), and E2MC
+//!   computes its parallel-decoding pointers from code-length sums
+//!   *before* encoding, eliminating the per-way scratch writers. BDI
+//!   packs every `64 / delta_bits` deltas of an arm into one `u64` with
+//!   compile-time trip counts (monomorphised per geometry like its
+//!   decoder), so the writer is touched once per staging word, not once
+//!   per value. Codecs that can only tell they lost mid-encode (FPC,
+//!   BPC, C-PACK) cut the buffer back to where their stream started and
+//!   append the raw block instead.
 //! * **Transposed bit-planes** — BPC's DBP rotation runs as a 32×32
 //!   bit-matrix transpose (Hacker's Delight §7-3), ~5 word-ops per plane
 //!   instead of a 33×31 single-bit gather.
@@ -87,17 +100,6 @@
 //!   lanes in a single pass then plans every base+delta arm with two
 //!   branchless fit-bitmap sweeps; its decoder is monomorphised per
 //!   geometry so every trip count and shift is a compile-time constant.
-//! * **Fixed-capacity block writer** — bounded encodes (C-PACK, BDI) use
-//!   [`bitstream::FixedBitWriter`], which stages into a stack buffer with
-//!   one unconditional 8-byte store per flush and allocates exactly once
-//!   at `finish`, bit-identical to [`bitstream::BitWriter`].
-//! * **Batched delta writes + append-into encode** — BDI packs every
-//!   `64 / delta_bits` deltas of an arm into one `u64` with compile-time
-//!   trip counts (monomorphised per geometry like its decoder) so the
-//!   writer is touched once per staging word, not once per value; and
-//!   [`BlockCompressor::compress_into`] lets the engine's per-block loop
-//!   append payload bytes straight into the chunk buffer, skipping the
-//!   per-block payload allocation.
 //! * **Interleaved rANS entropy substrate** — [`rans`] adds a 4-lane
 //!   byte-oriented rANS coder whose encode/decode inner loops are
 //!   branch-free (reciprocal-multiply encode, 4096-slot LUT decode,
@@ -159,7 +161,6 @@ impl Compressed {
     ///
     /// Panics if `payload` is too short to hold `size_bits` bits.
     pub fn new(size_bits: u32, payload: Vec<u8>) -> Self {
-        // slc-lint: allow(assert): documented size-contract guard; on the decode path the payload length is pinned to ceil(bits/8) before construction
         assert!(
             payload.len() * 8 >= size_bits as usize,
             "payload of {} bytes cannot hold {} bits",
@@ -171,7 +172,6 @@ impl Compressed {
 
     /// Wraps a block stored verbatim because compression did not pay off.
     pub fn uncompressed(block: &Block) -> Self {
-        // slc-lint: allow(hot-path): the block's single output-payload allocation (documented contract)
         Self { size_bits: BLOCK_BITS, payload: block.to_vec(), compressed: false }
     }
 
@@ -197,7 +197,23 @@ impl Compressed {
     }
 }
 
+/// Stores `block` verbatim at `out[start..]`, dropping whatever a codec
+/// already wrote there: the "store uncompressed" leg of
+/// [`BlockCompressor::compress_into`], shared by every codec so the raw
+/// form is decided in one place.
+pub(crate) fn store_raw(block: &Block, start: usize, out: &mut Vec<u8>) -> (u32, bool) {
+    out.truncate(start);
+    out.extend_from_slice(block);
+    (BLOCK_BITS, false)
+}
+
 /// A block compressor/decompressor pair.
+///
+/// A codec implements one borrowed method per direction:
+/// [`compress_into`](Self::compress_into) appends the stored form to a
+/// caller buffer and [`decompress_into`](Self::decompress_into) rebuilds
+/// the block from borrowed bytes. [`compress`](Self::compress) and
+/// [`decompress`](Self::decompress) are owned wrappers over them.
 ///
 /// Implementations must be lossless: `decompress(compress(b)) == b` for every
 /// block `b`. This invariant is checked by property tests in every codec
@@ -206,8 +222,30 @@ pub trait BlockCompressor {
     /// Short machine-friendly identifier (e.g. `"bdi"`, `"e2mc"`).
     fn name(&self) -> &'static str;
 
-    /// Compresses one block.
-    fn compress(&self, block: &Block) -> Compressed;
+    /// Compresses one block, appending exactly
+    /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out`
+    /// and returning `(size_bits, is_compressed)`; bytes already in `out`
+    /// are left untouched.
+    ///
+    /// This is the codec's one encoder: the engine's per-block loop
+    /// encodes straight into its chunk buffer through it, and
+    /// [`compress`](Self::compress) wraps it. A block stored verbatim
+    /// appends the raw 128 bytes and returns `(BLOCK_BITS, false)`; a
+    /// codec that overshoots `BLOCK_BITS` mid-encode truncates `out` back
+    /// to where it started before appending the raw block.
+    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool);
+
+    /// Compresses one block into an owned [`Compressed`] (convenience
+    /// wrapper over [`compress_into`](Self::compress_into); cold paths
+    /// and tests).
+    fn compress(&self, block: &Block) -> Compressed {
+        // Room for any stored form up to the raw block plus the bit
+        // writer's 8-byte flush slack; a codec that overshoots before
+        // falling back to raw grows it once.
+        let mut payload = Vec::with_capacity(BLOCK_BYTES + 8);
+        let (size_bits, compressed) = self.compress_into(block, &mut payload);
+        Compressed { size_bits, payload, compressed }
+    }
 
     /// Reconstructs the original block into a caller-provided buffer.
     ///
@@ -243,21 +281,6 @@ pub trait BlockCompressor {
     /// cheap size path (e.g. E2MC's code-length adder) override it.
     fn size_bits(&self, block: &Block) -> u32 {
         self.compress(block).size_bits()
-    }
-
-    /// Compresses one block, appending exactly
-    /// [`size_bytes`](Compressed::size_bytes) payload bytes to `out`
-    /// and returning `(size_bits, is_compressed)`.
-    ///
-    /// The engine's per-block loop encodes straight into the chunk
-    /// buffer through this; the default delegates to
-    /// [`compress`](Self::compress), and codecs whose writers can target
-    /// a caller buffer (BDI) override it to skip the per-block payload
-    /// allocation. Must be observationally identical to `compress`.
-    fn compress_into(&self, block: &Block, out: &mut Vec<u8>) -> (u32, bool) {
-        let c = self.compress(block);
-        out.extend_from_slice(&c.payload()[..c.size_bytes() as usize]);
-        (c.size_bits(), c.is_compressed())
     }
 
     /// The codec's whole-chunk coding mode, if it has one.

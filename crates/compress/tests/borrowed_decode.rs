@@ -1,6 +1,10 @@
 //! Pins the borrowed block decode (`decompress_into`) byte-identical to
 //! the owned path (`decompress`) for **every** codec, across random
-//! blocks and the codecs' own verbatim fallbacks.
+//! blocks and the codecs' own verbatim fallbacks — and the encode side's
+//! mirror image: `compress_into` appending onto a non-empty buffer emits
+//! exactly the owned `compress` stream and leaves the prefix alone, even
+//! when a codec overshoots the raw size mid-encode and falls back to
+//! storing the block verbatim.
 //!
 //! The output buffer is pre-filled with a dirty pattern on purpose:
 //! `decompress_into` writes into caller-owned storage, so any arm that
@@ -14,7 +18,7 @@ use slc_compress::bpc::Bpc;
 use slc_compress::cpack::Cpack;
 use slc_compress::e2mc::{E2mc, E2mcConfig};
 use slc_compress::fpc::Fpc;
-use slc_compress::hycomp::HyComp;
+use slc_compress::hycomp::{FpH, HyComp};
 use slc_compress::rans::Rans;
 use slc_compress::sc2::Sc2;
 use slc_compress::{BlockCodec, BLOCK_BYTES};
@@ -32,6 +36,7 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
             Arc::new(Bpc::new()),
             Arc::new(E2mc::train_on_bytes(&bytes, &E2mcConfig::default())),
             Arc::new(Sc2::train_on_bytes(&bytes, slc_compress::sc2::DEFAULT_TOP_K)),
+            Arc::new(FpH::train_on_bytes(&bytes)),
             Arc::new(HyComp::train_on_bytes(&bytes)),
             Arc::new(Rans::new()),
         ]
@@ -39,8 +44,17 @@ fn codecs() -> &'static [Arc<dyn BlockCodec>] {
 }
 
 fn check_block(block: &[u8; BLOCK_BYTES]) {
+    const PREFIX: [u8; 3] = [0x5a; 3];
     for codec in codecs() {
         let c = codec.compress(block);
+        let size_bytes = c.size_bytes() as usize;
+        assert_eq!(c.payload().len(), size_bytes, "{}: owned payload is exact", codec.name());
+        let mut out = PREFIX.to_vec();
+        let got = codec.compress_into(block, &mut out);
+        assert_eq!(got, (c.size_bits(), c.is_compressed()), "{}: encode verdict", codec.name());
+        assert_eq!(out[..3], PREFIX, "{}: prefix must stay untouched", codec.name());
+        assert_eq!(out[3..], c.payload()[..size_bytes], "{}: appended stream", codec.name());
+        assert_eq!(out.len(), 3 + size_bytes, "{}: no flush slack survives", codec.name());
         let owned = codec.decompress(&c);
         assert_eq!(&owned, block, "{}: owned roundtrip", codec.name());
         let mut borrowed = [0xa5u8; BLOCK_BYTES];

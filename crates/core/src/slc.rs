@@ -472,10 +472,13 @@ impl SlcCompressor {
         kind: StoredKind,
         decision: BudgetDecision,
     ) -> SlcCompressed {
-        let mut w = BitWriter::with_capacity_bits(total_bits);
+        // The stream's bytes plus the writer's 8-byte flush slack: one
+        // allocation, never grown.
+        let mut payload = Vec::with_capacity(total_bits.div_ceil(8) as usize + 8);
+        let mut w = BitWriter::new(&mut payload);
         header.write(&mut w);
         SymbolTable::write_encodings(&mut w, encodings);
-        let (payload, size_bits) = w.finish();
+        let size_bits = w.finish();
         debug_assert_eq!(size_bits, total_bits);
         SlcCompressed {
             payload,

@@ -481,10 +481,12 @@ fn push_entry<'a>(
 ///
 /// Codecs with a whole-chunk mode ([`ChunkCoder`]) encode the chunk as
 /// one stream (size hints do not apply — the stream is not block-framed);
-/// everything else goes through the per-block tag + body framing, encoded
-/// straight into the chunk buffer via
-/// [`compress_into`](slc_compress::BlockCompressor::compress_into) (the
-/// tag is back-patched once the body size is known).
+/// everything else goes through the per-block tag + body framing: each
+/// codec's one encoder,
+/// [`compress_into`](slc_compress::BlockCompressor::compress_into), writes
+/// the body straight onto the end of the chunk buffer — no per-block
+/// payload allocation or copy — and the tag is back-patched once the body
+/// size is known.
 fn encode_chunk(
     codec: &dyn BlockCodec,
     chunk: &[u8],

@@ -276,10 +276,10 @@ mod tests {
     fn manifest_parses_and_skips_comments() {
         let roots = parse_manifest(
             "# decode entry points\ncrates/engine/src/lib.rs::decode_chunk\n\n  \
-             crates/compress/src/bdi.rs::encode_into  ",
+             crates/compress/src/bdi.rs::compress_into  ",
         );
         assert_eq!(roots.len(), 2);
-        assert_eq!(roots[1].func, "encode_into");
+        assert_eq!(roots[1].func, "compress_into");
     }
 
     #[test]

@@ -76,7 +76,7 @@
 //!
 //! ```text
 //! crates/engine/src/lib.rs::decode_chunk
-//! crates/compress/src/bdi.rs::encode_into
+//! crates/compress/src/bdi.rs::compress_into
 //! ```
 //!
 //! The path is workspace-relative; the name matches every function of

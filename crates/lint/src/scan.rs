@@ -898,7 +898,7 @@ mod tests {
     #[test]
     fn fn_defs_with_impl_owner() {
         let idx = index(
-            "impl BlockCompressor for Bdi {\n fn compress(&self) {}\n}\n\
+            "impl BlockCompressor for Bdi {\n fn compress_into(&self) {}\n}\n\
              impl Engine { fn run(&self) {} }\n\
              trait Coder { fn code(&self) {} }\n\
              fn free() {}",
@@ -908,7 +908,7 @@ mod tests {
         assert_eq!(
             owners,
             [
-                ("compress", Some("Bdi")),
+                ("compress_into", Some("Bdi")),
                 ("run", Some("Engine")),
                 ("code", Some("Coder")),
                 ("free", None)

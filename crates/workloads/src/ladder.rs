@@ -89,11 +89,6 @@ impl LadderState {
         })
     }
 
-    /// The fault map the ladder consults.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.map
-    }
-
     /// The counters accumulated so far.
     pub fn counters(&self) -> &FaultCounters {
         &self.counters

@@ -23,7 +23,11 @@ use slc::slc_compress::bpc::Bpc;
 use slc::slc_compress::cpack::Cpack;
 use slc::slc_compress::e2mc::{E2mc, E2mcConfig, MAX_CODE_LEN};
 use slc::slc_compress::fpc::Fpc;
-use slc::slc_compress::{Block, BlockCompressor, BLOCK_BYTES};
+use slc::slc_compress::hycomp::{FpH, HyComp};
+use slc::slc_compress::rans::Rans;
+use slc::slc_compress::sc2::{Sc2, DEFAULT_TOP_K};
+use slc::slc_compress::{Block, BlockCompressor, Mag, BLOCK_BYTES};
+use slc::slc_core::slc::{SlcCompressor, SlcConfig, SlcVariant};
 
 /// The seed's bit-by-bit packing model (MSB-first within each byte).
 mod reference {
@@ -74,18 +78,20 @@ fn mask(v: u64, w: u32) -> u64 {
 fn golden_byte_vectors() {
     // write(0b101, 3) ++ write(0xABCD, 16): 101 1010101111001101 ->
     // 10110101 01111001 101xxxxx.
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
     w.write(0b101, 3);
     w.write(0xABCD, 16);
-    let (bytes, len) = w.finish();
+    let len = w.finish();
     assert_eq!(len, 19);
     assert_eq!(bytes, vec![0xB5, 0x79, 0xA0]);
 
     // A 64-bit field crossing the staging-word split path.
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitWriter::new(&mut bytes);
     w.write(1, 1);
     w.write(0x0123_4567_89AB_CDEF, 64);
-    let (bytes, len) = w.finish();
+    let len = w.finish();
     assert_eq!(len, 65);
     assert_eq!(bytes, vec![0x80, 0x91, 0xA2, 0xB3, 0xC4, 0xD5, 0xE6, 0xF7, 0x80]);
 }
@@ -112,33 +118,103 @@ fn ramp_block(start: u32, step: u32) -> Block {
     b
 }
 
+fn float_block(offset: f32) -> Block {
+    let mut b = [0u8; BLOCK_BYTES];
+    for (i, c) in b.chunks_exact_mut(4).enumerate() {
+        c.copy_from_slice(&(100.0f32 + offset + i as f32 * 0.25).to_le_bytes());
+    }
+    b
+}
+
+/// Training bytes for the table-driven codecs: 64 consecutive ramps and
+/// 64 shifted float sequences, so every trained codec is a pure function
+/// of this file.
+fn training_bytes() -> Vec<u8> {
+    let ramps = (0..64u32).flat_map(|k| ramp_block(0x4000_0000 + 96 * k, 3));
+    let floats = (0..64u32).flat_map(|k| float_block(k as f32 * 8.0));
+    ramps.chain(floats).collect()
+}
+
+/// A ramp whose every `stride`-th word is replaced by pseudo-random noise
+/// (escapes under the trained tables).
+fn noisy_ramp(stride: usize, seed: u64) -> Block {
+    let mut b = ramp_block(0x4000_0000, 3);
+    let noise = test_block(seed);
+    for w in (0..BLOCK_BYTES / 4).step_by(stride) {
+        b[w * 4..w * 4 + 4].copy_from_slice(&noise[w * 4..w * 4 + 4]);
+    }
+    b
+}
+
 /// Golden stream hashes for deterministic blocks, recorded from the
 /// as-merged implementation (which the property tests above prove
 /// bit-identical to the seed's packing). Any change to these values is a
-/// wire-format break.
+/// wire-format break. `GOLDEN_PRINT=1` prints the observed rows instead
+/// of checking them.
 #[test]
 fn golden_codec_stream_hashes() {
+    let print = std::env::var("GOLDEN_PRINT").is_ok();
+    let training = training_bytes();
     let bdi = Bdi::new();
     let fpc = Fpc::new();
     let cpack = Cpack::new();
     let bpc = Bpc::new();
+    let e2mc = E2mc::train_on_bytes(&training, &E2mcConfig::default());
+    let sc2 = Sc2::train_on_bytes(&training, DEFAULT_TOP_K);
+    let fph = FpH::train_on_bytes(&training);
+    let hycomp = HyComp::train_on_bytes(&training);
+    let rans = Rans::new();
     let ramp = ramp_block(0x4000_0000, 3);
     let zeros = [0u8; BLOCK_BYTES];
-    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 4] = [
+    let floats = float_block(4.0);
+    let noisy = noisy_ramp(4, 7);
+    let byte_ramp = ramp_block(0, 1);
+    let int_ramp = ramp_block(0x1234_5678, 5);
+    let expectations: [(&str, &dyn BlockCompressor, &Block, u32, u64); 10] = [
         ("bdi/ramp", &bdi, &ramp, 324, 0xd780_6542_3373_97d5),
         ("fpc/zeros", &fpc, &zeros, 24, 0x85e3_6318_cda0_4b7b),
         ("cpack/zeros", &cpack, &zeros, 64, 0xa8c7_f832_281a_39c5),
         ("bpc/ramp", &bpc, &ramp, 47, 0x90be_3613_64aa_1e3d),
+        ("e2mc/noisy", &e2mc, &noisy, 674, 0x2557_f3c3_efcc_6c38),
+        ("sc2/noisy", &sc2, &noisy, 528, 0x53fd_3cbb_069b_0cb2),
+        ("fph/floats", &fph, &floats, 576, 0x50b1_896a_94a7_613d),
+        // HyComp's FP-H leg, then its BDI leg (integer ramp).
+        ("hycomp/floats", &hycomp, &floats, 578, 0xe188_49c0_c232_57f7),
+        ("hycomp/ramp", &hycomp, &int_ramp, 582, 0x376c_b2ae_19f4_58c8),
+        ("rans/ramp", &rans, &byte_ramp, 984, 0x8189_2335_a66b_e389),
     ];
     for (name, codec, block, bits, hash) in expectations {
         let c = codec.compress(block);
-        if std::env::var("GOLDEN_PRINT").is_ok() {
+        if print {
             eprintln!("GOLDEN {name} bits={} fnv={:#018x}", c.size_bits(), fnv(c.payload()));
             continue;
         }
         assert_eq!(c.size_bits(), bits, "{name}: stream length changed");
         assert_eq!(fnv(c.payload()), hash, "{name}: stream bytes changed");
         assert_eq!(&codec.decompress(&c), block, "{name}: roundtrip broken");
+    }
+
+    // SLC's own framing (header + truncated E2MC ways): TSLC-OPT at the
+    // paper's default MAG 32 B and 16 B lossy threshold.
+    let slc = SlcCompressor::new(e2mc, SlcConfig::new(Mag::GDDR5, 16, SlcVariant::TslcOpt));
+    let slc_rows: [(&str, &Block, bool, u32, u64); 2] = [
+        ("slc/lossless", &ramp, false, 503, 0x2e28_e98e_3608_bf7e),
+        ("slc/lossy", &noisy_ramp(6, 1), true, 485, 0x64be_9784_6d0e_fa47),
+    ];
+    for (name, block, lossy, bits, hash) in slc_rows {
+        let c = slc.compress(block);
+        if print {
+            eprintln!(
+                "GOLDEN {name} lossy={} bits={} fnv={:#018x}",
+                c.is_lossy(),
+                c.size_bits(),
+                fnv(c.payload())
+            );
+            continue;
+        }
+        assert_eq!(c.is_lossy(), lossy, "{name}: storage mode changed");
+        assert_eq!(c.size_bits(), bits, "{name}: stream length changed");
+        assert_eq!(fnv(c.payload()), hash, "{name}: stream bytes changed");
     }
 }
 
@@ -174,13 +250,14 @@ proptest! {
     #[test]
     fn prop_writer_matches_seed_reference(fields in proptest::collection::vec((any::<u64>(), 1u32..=64), 0..96)) {
         let mut reference = reference::RefWriter::new();
-        let mut writer = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut writer = BitWriter::new(&mut bytes);
         for &(v, w) in &fields {
             let m = mask(v, w);
             reference.write(m, w);
             writer.write(m, w);
         }
-        let (bytes, len) = writer.finish();
+        let len = writer.finish();
         prop_assert_eq!(len, reference.len_bits);
         prop_assert_eq!(bytes, reference.bytes);
     }
